@@ -176,3 +176,146 @@ fn different_seeds_actually_change_the_results() {
     let c = fom_bits(&b2.run(p).unwrap());
     assert_ne!(a, c, "seed must influence the serving FOMs");
 }
+
+/// FNV-1a-64 over little-endian `u64` words.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn words(&mut self, ws: &[u64]) {
+        ws.iter().for_each(|&w| self.word(w));
+    }
+}
+
+/// Fold one load point into the digest: the simulation's summary, every
+/// phase and every request record, then every word of the engine FOM.
+fn fold_point(h: &mut Fnv1a, b: &ServeBenchmark, p: caraml::ServePoint) {
+    let report = b.simulate(p).unwrap();
+    h.words(&[
+        report.makespan_s.to_bits(),
+        u64::from(report.max_occupancy),
+        report.max_kv_reserved_bytes,
+        report.kv_budget_bytes,
+        report.weight_bytes,
+        report.decode_steps,
+        report.served_tokens,
+        report.phases.len() as u64,
+    ]);
+    for ph in &report.phases {
+        h.bytes(ph.label.as_bytes());
+        h.words(&[
+            ph.duration_s.to_bits(),
+            ph.utilization.to_bits(),
+            ph.sustained_w.to_bits(),
+        ]);
+    }
+    for r in &report.records {
+        h.words(&[
+            u64::from(r.id),
+            matches!(r.class, caraml::SloClass::Interactive) as u64,
+            r.arrival_s.to_bits(),
+            r.gen_tokens,
+        ]);
+        match r.outcome {
+            RequestOutcome::Served {
+                admit_seq,
+                admit_s,
+                first_token_s,
+                finish_s,
+                tokens,
+            } => h.words(&[
+                0,
+                u64::from(admit_seq),
+                admit_s.to_bits(),
+                first_token_s.to_bits(),
+                finish_s.to_bits(),
+                tokens,
+            ]),
+            RequestOutcome::Shed { at_s, reason } => h.words(&[
+                1,
+                at_s.to_bits(),
+                matches!(reason, caraml::serve::ShedReason::KvCacheOverflow) as u64,
+            ]),
+        }
+    }
+    h.words(&fom_bits(&b.run(p).unwrap()));
+}
+
+/// Every committed serving configuration, folded into one FNV-1a-64
+/// constant: this file's grid, the `examples/scenario.toml` serve sweep,
+/// the suite's serving grid on each committed GPU system, and the
+/// `bench_json` serve cases. Unlike the run-against-itself tests above,
+/// this pins absolute bits, so any change to the serving arithmetic has
+/// to name the configuration it moved and re-pin the constant.
+#[test]
+fn committed_serve_configurations_match_the_golden_checksum() {
+    let mut h = Fnv1a::new();
+    let mut points = 0;
+
+    for p in grid() {
+        fold_point(&mut h, &bench(), p);
+        points += 1;
+    }
+
+    for sys in [SystemId::A100, SystemId::H100Jrdc] {
+        for precision in [caraml_accel::Precision::Bf16, caraml_accel::Precision::Int8] {
+            let mut b = ServeBenchmark::new(sys).with_precision(precision);
+            b.config.num_requests = 64;
+            b.config.seed = 7;
+            fold_point(&mut h, &b, load_grid(&[32.0], &[16])[0]);
+            points += 1;
+        }
+    }
+
+    let bursty = ArrivalKind::Bursty {
+        burst_factor: 8.0,
+        mean_burst: 6.0,
+    };
+    // The suite serves on any GPU tag: pin the seven committed ones, so
+    // adding a device file adds configurations instead of moving these.
+    for tag in [
+        "JEDI", "GH200", "H100", "WAIH100", "MI250", "A100", "EDGERV",
+    ] {
+        let sys = SystemId::try_from_tag(tag).unwrap();
+        for arrival in [ArrivalKind::Poisson, bursty] {
+            let mut b = ServeBenchmark::new(sys);
+            b.config.seed = 42;
+            b.config.arrival = arrival;
+            for p in load_grid(&[4.0, 32.0, 128.0], &[4, 32]) {
+                fold_point(&mut h, &b, p);
+                points += 1;
+            }
+        }
+    }
+
+    let mut b = bench();
+    b.config.num_requests = 256;
+    for (rate, cap) in [(64.0, 16), (256.0, 64)] {
+        fold_point(&mut h, &b, load_grid(&[rate], &[cap])[0]);
+        points += 1;
+    }
+    b.config.arrival = bursty;
+    fold_point(&mut h, &b, load_grid(&[64.0], &[16])[0]);
+    points += 1;
+
+    assert_eq!(points, 97);
+    assert_eq!(
+        h.0, 0x2b42_5b50_2002_5b8b,
+        "serve golden checksum {:#018x}",
+        h.0
+    );
+}
