@@ -52,10 +52,10 @@ fn usage() -> ExitCode {
         "usage:\n  caraml systems\n  caraml devices [--json | --check <golden-file>]\n  \
          caraml calibrate <trace.toml> [-o <out.toml>]\n  \
          caraml run <llm|resnet50> --tag <TAG...> [--shards N] [--nodes N]\n  \
-         caraml suite <TAG> [--shards N] [--nodes N] [--precision <P|all>]\n  \
-         caraml heatmap <TAG> [--shards N] [--nodes N] [--precision <P|all>]\n  \
+         caraml suite <TAG> [--shards N] [--nodes N] [--precision <P|all|p0,p1,...>]\n  \
+         caraml heatmap <TAG> [--shards N] [--nodes N] [--precision <P|all|p0,p1,...>]\n  \
          caraml inference <TAG>\n  \
-         caraml serve <TAG> [--bursty] [--seed N] [--precision <P|all>]\n  \
+         caraml serve <TAG> [--bursty] [--seed N] [--precision <P|all|p0,p1,...>]\n  \
          caraml fleet <TAG> [--replicas N] [--policy <P|all>] [--precision <P|all|p0,p1,...>]\n  \
          \x20            [--rate F] [--cap N] [--seed N] [--bursty] [--disagg] [--autoscale] [--json]\n  \
          caraml baseline <record|compare> <file.json> --tag <TAG> [--tolerance F]\n  \
@@ -121,38 +121,25 @@ fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
     }
 }
 
-/// Parse `--precision <tag|all>` into the precision tiers to sweep.
-/// `None` when the flag is absent; unknown values are rejected with the
-/// registry-style error listing every valid tag (plus `all`).
+/// Parse `--precision <tag|all|t0,t1,...>`; `None` when the flag is
+/// absent. For `serve`, `suite` and `heatmap` the tiers are the set to
+/// sweep; for `fleet` they are the per-replica ladder (replica `i` runs
+/// entry `i % len`). `all` is the full ladder. Unknown values are
+/// rejected with the registry-style error listing every valid tag.
 fn precision_options(args: &[String]) -> Result<Option<Vec<Precision>>, String> {
     match args.iter().position(|a| a == "--precision") {
         None => Ok(None),
         Some(i) => match args.get(i + 1).map(String::as_str) {
-            None => Err("--precision needs a value (f32, bf16, int8 or all)".to_string()),
-            Some("all") => Ok(Some(Precision::ALL.to_vec())),
-            Some(tag) => Precision::try_from_tag(tag)
-                .map(|p| Some(vec![p]))
-                .map_err(|e| format!("{e} (or 'all' to sweep every tier)")),
-        },
-    }
-}
-
-/// Parse `--precision` for `caraml fleet`, where a comma-separated list
-/// (`--precision f32,bf16,int8,int8`) builds a heterogeneous fleet:
-/// replica `i` runs at entry `i % len`. A single tag puts the whole
-/// fleet at that tier; `all` is shorthand for the full ladder.
-fn fleet_precision_options(args: &[String]) -> Result<Option<Vec<Precision>>, String> {
-    match args.iter().position(|a| a == "--precision") {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            None => Err("--precision needs a value (f32, bf16, int8, 'all', or a comma-separated per-replica list)".to_string()),
+            None => Err(
+                "--precision needs a value (f32, bf16, int8, 'all', or a comma-separated list)"
+                    .to_string(),
+            ),
             Some("all") => Ok(Some(Precision::ALL.to_vec())),
             Some(list) => list
                 .split(',')
                 .map(|tag| {
-                    Precision::try_from_tag(tag.trim()).map_err(|e| {
-                        format!("{e} (or 'all', or a comma-separated per-replica list)")
-                    })
+                    Precision::try_from_tag(tag.trim())
+                        .map_err(|e| format!("{e} (or 'all', or a comma-separated list)"))
                 })
                 .collect::<Result<Vec<_>, _>>()
                 .map(Some),
@@ -569,7 +556,7 @@ fn run_fleet(tag: &str, flags: &[String]) -> ExitCode {
     };
     let (policies, precisions, replicas, rate, cap, seed) = match (
         policy_options(flags),
-        fleet_precision_options(flags),
+        precision_options(flags),
         flag_value::<u32>(flags, "--replicas"),
         flag_value::<f64>(flags, "--rate"),
         flag_value::<u32>(flags, "--cap"),
@@ -1078,6 +1065,10 @@ mod tests {
         assert_eq!(
             precision_options(&argv(&["--precision", "all"])).unwrap(),
             Some(Precision::ALL.to_vec())
+        );
+        assert_eq!(
+            precision_options(&argv(&["--precision", "f32,int8, bf16"])).unwrap(),
+            Some(vec![Precision::F32, Precision::Int8, Precision::Bf16])
         );
         // Unknown values are rejected with the full list of valid tags —
         // the same UX as unknown device tags.

@@ -1,13 +1,15 @@
 //! Fleet-scale serving: replica routing, autoscaling, and
-//! prefill/decode disaggregation over the single-node batcher.
+//! prefill/decode disaggregation on the crate's one serving event loop.
 //!
-//! [`crate::serve`] simulates one node under load; the "millions of
-//! users" north-star is a *fleet*. This module puts N replica batchers
-//! (the same [`ServeCost`] economics, SLO classes and KV-reservation
-//! admission as `serve`) behind a deterministic event-driven router
-//! with pluggable policies ([`RoutePolicy`]): round-robin, least-KV-load
-//! (byte-aware balancing), and session affinity (sticky per-user
-//! routing). On top of the router sit three fleet mechanisms:
+//! This module puts N replica batchers (per-class FIFO queues, deadline
+//! shedding, KV-reservation admission, prefill and decode priced by one
+//! `ServeCost` roofline model) behind a deterministic event-driven
+//! router with pluggable policies ([`RoutePolicy`]): round-robin,
+//! least-KV-load (byte-aware balancing), and session affinity (sticky
+//! per-user routing). Single-node serving ([`crate::serve`]) is the
+//! one-replica case: one replica, round-robin, no autoscaling, not
+//! disaggregated, no prefix reuse. On top of the router sit three fleet
+//! mechanisms:
 //!
 //! * **Autoscaling** ([`AutoscaleConfig`]): a periodic queue-depth check
 //!   spins up replicas with a cold-start delay taken from the device
@@ -33,13 +35,16 @@
 //! hysteresis, and the prefix-reuse bound.
 
 use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome};
-use crate::fom::{FleetFom, LatencyPercentiles};
+use crate::fom::FleetFom;
 use crate::serve::{
-    arrival_trace, PhaseLog, Request, RequestOutcome, RequestRecord, Running, ServeBenchmark,
-    ServeConfig, ServeCost, ServePoint, ShedReason, SloClass,
+    arrival_trace, Request, RequestOutcome, RequestRecord, RequestSummary, ServeBenchmark,
+    ServeConfig, ServePoint, ShedReason, SloClass,
 };
 use crate::sweep::{ShardPlan, ShardedSweep, SweepRunner};
-use caraml_accel::{AccelError, Link, NodeConfig, PhaseKind, Precision, SystemId};
+use caraml_accel::spec::{DeviceSpec, Workload as SpecWorkload};
+use caraml_accel::{
+    AccelError, KernelProfile, Link, NodeConfig, PhaseKind, Precision, RooflineModel, SystemId,
+};
 use jube::SlurmSim;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -50,6 +55,10 @@ use std::sync::Arc;
 /// and prefix-group draws), so they are independent of the arrival
 /// process but still fully determined by the config seed.
 const FLEET_ATTR_SEED_XOR: u64 = 0x5eed_f1ee;
+
+/// Per-step launch overhead, seconds — decode loops are CUDA-graph
+/// captured (same constant as the offline inference benchmark).
+const SERVE_LAUNCH_OVERHEAD_S: f64 = 5e-5;
 
 /// How the router picks a replica for each arriving request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +245,8 @@ pub struct ReplicaReport {
 /// Raw output of one fleet simulation, before power measurement.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Terminal per-request records (same conservation guarantee as the
-    /// single-node batcher: exactly one terminal state per request).
+    /// Terminal per-request records: exactly one terminal state per
+    /// request.
     pub records: Vec<RequestRecord>,
     /// One routing decision per request, in arrival order.
     pub decisions: Vec<RouteDecision>,
@@ -337,10 +346,7 @@ impl FleetBenchmark {
     }
 
     fn validate(&self, point: ServePoint) -> Result<(), AccelError> {
-        ServeBenchmark {
-            config: self.config.serve.clone(),
-        }
-        .validate(point)?;
+        self.config.serve.validate(point)?;
         let cfg = &self.config;
         if cfg.replicas == 0 {
             return Err(AccelError::InvalidConfig(
@@ -393,24 +399,28 @@ impl FleetBenchmark {
     }
 
     /// Run one load point end-to-end: simulate the fleet, then meter
-    /// every replica's phase schedule through the engine (one fresh
-    /// [`RunContext`] per replica, summed in id order — deterministic).
+    /// every replica's phase schedule and sum the meters in id order.
     pub fn run(&self, point: ServePoint) -> Result<FleetFom, AccelError> {
         let report = self.simulate(point)?;
-        let system = self.config.serve.system;
-        let mut energy_wh = 0.0;
-        let mut mean_power_w = 0.0;
-        for rep in &report.replicas {
-            let (e, m) = engine::execute(&ReplicaPhases {
-                system,
-                replica: rep,
-                makespan_s: report.makespan_s,
+        let meters = self.meter(&report)?;
+        Ok(self.assemble_fom(point, &report, &meters))
+    }
+
+    /// Meter every replica's phase schedule through the engine, one
+    /// fresh [`RunContext`] per replica, in id order — deterministic.
+    pub(crate) fn meter(&self, report: &FleetReport) -> Result<Vec<ReplicaMeter>, AccelError> {
+        report
+            .replicas
+            .iter()
+            .map(|replica| {
+                engine::execute(&ReplicaPhases {
+                    system: self.config.serve.system,
+                    replica,
+                    makespan_s: report.makespan_s,
+                })
+                .into_result()
             })
-            .into_result()?;
-            energy_wh += e;
-            mean_power_w += m;
-        }
-        Ok(self.assemble_fom(point, &report, energy_wh, mean_power_w))
+            .collect()
     }
 
     /// Compare routing policies on the same trace and load point; the
@@ -463,44 +473,13 @@ impl FleetBenchmark {
         &self,
         point: ServePoint,
         report: &FleetReport,
-        energy_wh: f64,
-        mean_power_w: f64,
+        meters: &[ReplicaMeter],
     ) -> FleetFom {
-        let slo = &self.config.serve.slo;
-        let mut ttfts = Vec::new();
-        let mut tpots = Vec::new();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut slo_met = 0u64;
-        let mut goodput_tokens = 0u64;
-        for rec in &report.records {
-            match rec.outcome {
-                RequestOutcome::Served {
-                    first_token_s,
-                    finish_s,
-                    tokens,
-                    ..
-                } => {
-                    served += 1;
-                    let ttft = first_token_s - rec.arrival_s;
-                    let tpot = if tokens > 1 {
-                        (finish_s - first_token_s) / (tokens - 1) as f64
-                    } else {
-                        0.0
-                    };
-                    ttfts.push(ttft);
-                    tpots.push(tpot);
-                    if ttft <= slo.ttft_deadline_s(rec.class)
-                        && tpot <= slo.tpot_deadline_s(rec.class)
-                    {
-                        slo_met += 1;
-                        goodput_tokens += tokens;
-                    }
-                }
-                RequestOutcome::Shed { .. } => shed += 1,
-            }
-        }
-        let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
+        let s = RequestSummary::new(
+            report,
+            &self.config.serve.slo,
+            meters.iter().map(|m| m.energy_wh).sum(),
+        );
         let (up, down) = report
             .scale_events
             .iter()
@@ -518,24 +497,16 @@ impl FleetBenchmark {
             batch_cap: point.batch_cap,
             replicas_base: self.config.replicas,
             replicas_peak: report.replicas_peak,
-            requests: report.records.len() as u64,
-            served,
-            shed,
-            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
-            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
-            tokens_per_s: report.served_tokens as f64 / makespan,
-            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
-            slo_attainment: if served > 0 {
-                slo_met as f64 / served as f64
-            } else {
-                0.0
-            },
-            energy_wh_per_ktoken: if report.served_tokens > 0 {
-                energy_wh * 1000.0 / report.served_tokens as f64
-            } else {
-                0.0
-            },
-            mean_fleet_power_w: mean_power_w,
+            requests: s.requests,
+            served: s.served,
+            shed: s.shed,
+            ttft: s.ttft,
+            tpot: s.tpot,
+            tokens_per_s: s.tokens_per_s,
+            goodput_tokens_per_s: s.goodput_tokens_per_s,
+            slo_attainment: s.slo_attainment,
+            energy_wh_per_ktoken: s.energy_wh_per_ktoken,
+            mean_fleet_power_w: meters.iter().map(|m| m.mean_power_w).sum(),
             scale_up_events: up,
             scale_down_events: down,
             kv_handoffs: report.handoffs,
@@ -575,6 +546,116 @@ pub fn fleet_trace(cfg: &FleetConfig, rate_per_s: f64) -> Vec<FleetRequest> {
 // ---------------------------------------------------------------------
 // Simulation internals
 // ---------------------------------------------------------------------
+
+/// Cost model of one replica's batcher on its device.
+struct ServeCost {
+    fwd_flops_per_token: f64,
+    weight_bytes: u64,
+    kv_bytes_per_token: f64,
+    roofline: RooflineModel,
+    mfu_max: f64,
+    sustained_w: f64,
+}
+
+impl ServeCost {
+    fn new(spec: &DeviceSpec, model: &caraml_models::GptConfig, precision: Precision) -> Self {
+        let cost = caraml_models::gpt::cost::GptCost::new(model.clone());
+        let calib = spec.calib(SpecWorkload::Llm);
+        ServeCost {
+            fwd_flops_per_token: cost.forward_flops_per_token(),
+            weight_bytes: cost.weight_bytes(precision),
+            // K and V across all layers at the selected precision.
+            kv_bytes_per_token: cost.kv_bytes_per_token(precision),
+            roofline: RooflineModel::from_parts(
+                spec.peak_fp16_flops(),
+                spec.mem_bw_bytes_per_s(),
+                calib.mfu_max,
+                calib.batch_half,
+                SERVE_LAUNCH_OVERHEAD_S,
+            ),
+            mfu_max: calib.mfu_max,
+            sustained_w: spec.llm.sustained_w,
+        }
+    }
+
+    /// `(duration_s, utilization)` of a prefill over `tokens` prompt
+    /// tokens (compute-bound, like a training forward pass).
+    fn prefill(&self, tokens: u64) -> (f64, f64) {
+        let profile = KernelProfile::new(
+            self.fwd_flops_per_token * tokens as f64,
+            self.weight_bytes as f64 * 2.0,
+        );
+        let est = self.roofline.estimate(&profile, tokens as f64);
+        (est.time_s, (est.mfu / self.mfu_max).clamp(0.0, 1.0))
+    }
+
+    /// `(duration_s, utilization)` of one decode step over `batch`
+    /// concurrent requests holding `kv_tokens` of cache total.
+    fn decode_step(&self, batch: u32, kv_tokens: u64) -> (f64, f64) {
+        let profile = KernelProfile::new(
+            self.fwd_flops_per_token * f64::from(batch),
+            self.weight_bytes as f64 + self.kv_bytes_per_token * kv_tokens as f64,
+        );
+        let est = self.roofline.estimate(&profile, f64::from(batch));
+        let u = if est.compute_bound {
+            (est.mfu / self.mfu_max).clamp(0.0, 1.0)
+        } else {
+            (est.compute_s / est.time_s).clamp(0.05, 1.0) * 0.7 + 0.2
+        };
+        (est.time_s, u)
+    }
+}
+
+/// A request currently decoding.
+struct Running {
+    idx: usize,
+    remaining: u64,
+    /// KV tokens currently resident (grows by one per decode step).
+    kv_tokens: u64,
+    /// Full-lifetime KV reservation, bytes.
+    kv_reserved: u64,
+}
+
+/// Phase accumulator that merges exact-duplicate consecutive phases (a
+/// long idle gap or a run of identical decode steps become one phase).
+struct PhaseLog {
+    phases: Vec<PhaseSpec>,
+    t: f64,
+}
+
+impl PhaseLog {
+    fn new() -> Self {
+        PhaseLog {
+            phases: Vec::new(),
+            t: 0.0,
+        }
+    }
+
+    fn push(&mut self, kind: PhaseKind, label: &'static str, duration_s: f64, u: f64, w: f64) {
+        if duration_s <= 0.0 {
+            return;
+        }
+        self.t += duration_s;
+        if let Some(last) = self.phases.last_mut() {
+            if last.kind == kind
+                && last.label == label
+                && last.utilization == u
+                && last.sustained_w == w
+            {
+                last.duration_s += duration_s;
+                return;
+            }
+        }
+        self.phases.push(PhaseSpec {
+            kind,
+            label,
+            active: 1,
+            duration_s,
+            utilization: u,
+            sustained_w: w,
+        });
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplicaState {
@@ -728,8 +809,9 @@ impl Replica {
     }
 
     /// Full-lifetime KV reservation this replica would make for `r`:
-    /// prompt + generation on a decoding replica, prompt + first token
-    /// on a prefill-only replica (released at handoff).
+    /// prompt + generation on a decoding (unified or decode) replica,
+    /// prompt + first token on a prefill-only replica — exactly the KV
+    /// state its handoff ships, released when the handoff lands.
     fn lifetime_kv(&self, r: &Request) -> u64 {
         let tokens = if self.role == ReplicaRole::Prefill {
             r.prompt_tokens + 1
@@ -773,17 +855,12 @@ impl Replica {
         // Shed expired queue heads. Arrival order is FIFO per class and
         // the wait budget is uniform within a class, so waits are
         // monotone: once the head is inside budget the rest are too.
-        for queue in self.queues.iter_mut() {
-            while let Some(&i) = queue.front() {
+        for slot in 0..self.queues.len() {
+            while let Some(&i) = self.queues[slot].front() {
                 let r = &sh.trace[i].base;
                 if now - r.arrival_s > sh.cfg.serve.slo.max_queue_wait_s(r.class) {
-                    queue.pop_front();
-                    self.queued_kv_demand -= if self.role == ReplicaRole::Prefill {
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + 1) as f64) as u64
-                    } else {
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64)
-                            as u64
-                    };
+                    self.queues[slot].pop_front();
+                    self.queued_kv_demand -= self.lifetime_kv(r);
                     sh.records[i] = Some(shed_record(r, now, ShedReason::DeadlineExceeded));
                 } else {
                     break;
@@ -814,21 +891,16 @@ impl Replica {
         // Queue admission: class priority, FIFO within a class, bounded
         // by the occupancy cap and the KV budget.
         let mut admitted: Vec<usize> = Vec::new();
-        'admit: for queue in self.queues.iter_mut() {
+        'admit: for slot in 0..self.queues.len() {
             while (self.running.len() + admitted.len()) < sh.batch_cap as usize {
-                let Some(&i) = queue.front() else {
+                let Some(&i) = self.queues[slot].front() else {
                     break;
                 };
                 let r = &sh.trace[i].base;
-                let tokens = if self.role == ReplicaRole::Prefill {
-                    r.prompt_tokens + 1
-                } else {
-                    r.prompt_tokens + r.gen_tokens
-                };
-                let needed = (self.cost.kv_bytes_per_token * tokens as f64) as u64;
+                let needed = self.lifetime_kv(r);
                 if needed > self.kv_budget {
                     // Can never fit this replica: shed explicitly.
-                    queue.pop_front();
+                    self.queues[slot].pop_front();
                     self.queued_kv_demand -= needed;
                     sh.records[i] = Some(shed_record(r, now, ShedReason::KvCacheOverflow));
                     continue;
@@ -836,7 +908,7 @@ impl Replica {
                 if self.kv_reserved + needed > self.kv_budget {
                     continue 'admit;
                 }
-                queue.pop_front();
+                self.queues[slot].pop_front();
                 self.queued_kv_demand -= needed;
                 self.kv_reserved += needed;
                 admitted.push(i);
@@ -874,12 +946,7 @@ impl Replica {
             let mut handoff_bytes = 0u64;
             for &i in &admitted {
                 let r = &sh.trace[i].base;
-                let reserved = (self.cost.kv_bytes_per_token
-                    * (if self.role == ReplicaRole::Prefill {
-                        r.prompt_tokens + 1
-                    } else {
-                        r.prompt_tokens + r.gen_tokens
-                    }) as f64) as u64;
+                let reserved = self.lifetime_kv(r);
                 sh.records[i] = Some(RequestRecord {
                     id: r.id,
                     class: r.class,
@@ -903,9 +970,10 @@ impl Replica {
                     self.kv_reserved -= reserved;
                     sh.served_tokens += r.gen_tokens;
                 } else if self.role == ReplicaRole::Prefill {
+                    // A prefill replica reserves exactly the KV state
+                    // the handoff ships.
                     staged.push((i, reserved));
-                    handoff_bytes +=
-                        (self.cost.kv_bytes_per_token * (r.prompt_tokens + 1) as f64) as u64;
+                    handoff_bytes += reserved;
                 } else {
                     self.running.push(Running {
                         idx: i,
@@ -1062,14 +1130,14 @@ fn route_arrival(
 /// decode budget are shed.
 fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Handoff) -> Delivery {
     let r = &sh_trace[h.idx].base;
-    let mut best: Option<(usize, i128)> = None;
+    let mut best: Option<(usize, i128, u64)> = None;
     for (k, rep) in replicas.iter().enumerate() {
         if rep.role != ReplicaRole::Decode
             || !matches!(rep.state, ReplicaState::Active | ReplicaState::Draining)
         {
             continue;
         }
-        let needed = (rep.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
+        let needed = rep.lifetime_kv(r);
         if needed > rep.kv_budget {
             continue; // can never fit this replica
         }
@@ -1077,16 +1145,14 @@ fn deliver_handoff(replicas: &mut [Replica], sh_trace: &[FleetRequest], h: &Hand
             - rep.kv_reserved as i128
             - rep.pending_kv_demand as i128
             - needed as i128;
-        if best.is_none_or(|(_, f)| free > f) {
-            best = Some((k, free));
+        if best.is_none_or(|(_, f, _)| free > f) {
+            best = Some((k, free, needed));
         }
     }
     match best {
         None => Delivery::Shed,
-        Some((k, _)) => {
+        Some((k, _, needed)) => {
             let rep = &mut replicas[k];
-            let needed =
-                (rep.cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
             rep.pending_kv_demand += needed;
             rep.pending.push_back(PendingDecode {
                 idx: h.idx,
@@ -1370,6 +1436,15 @@ fn simulate_fleet(bench: &FleetBenchmark, point: ServePoint) -> FleetReport {
     }
 }
 
+/// Power figures of one replica's metered phase schedule.
+pub(crate) struct ReplicaMeter {
+    pub(crate) energy_wh: f64,
+    pub(crate) mean_power_w: f64,
+    pub(crate) peak_power_w: f64,
+    /// Fraction of the makespan the device spent above its idle floor.
+    pub(crate) busy_fraction: f64,
+}
+
 /// One replica's phase schedule as an engine workload, for power
 /// metering on a fresh context.
 struct ReplicaPhases<'a> {
@@ -1380,7 +1455,7 @@ struct ReplicaPhases<'a> {
 
 impl engine::Workload for ReplicaPhases<'_> {
     type Plan = ();
-    type Output = (f64, f64); // (energy_wh, mean_power_w)
+    type Output = ReplicaMeter;
 
     fn system(&self) -> SystemId {
         self.system
@@ -1405,11 +1480,18 @@ impl engine::Workload for ReplicaPhases<'_> {
         ))
     }
 
-    fn finish(&self, _plan: (), exec: Executed, _ctx: &RunContext) -> (f64, f64) {
-        (
-            exec.measurement.df.energy_wh(0),
-            exec.measurement.mean_power_w(0),
-        )
+    fn finish(&self, _plan: (), exec: Executed, ctx: &RunContext) -> ReplicaMeter {
+        let device = ctx.device(0);
+        ReplicaMeter {
+            energy_wh: exec.measurement.df.energy_wh(0),
+            mean_power_w: exec.measurement.mean_power_w(0),
+            peak_power_w: exec.measurement.peak_power_w(0),
+            busy_fraction: device.power_register().busy_fraction(
+                0.0,
+                self.makespan_s.max(f64::MIN_POSITIVE),
+                device.power_model().idle_w + 1.0,
+            ),
+        }
     }
 }
 

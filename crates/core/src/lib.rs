@@ -59,6 +59,6 @@ pub use llm::{LlmBenchmark, LlmRun};
 pub use llm_large::{LargeModelBenchmark, LargeModelRun};
 pub use resnet::{ResnetBenchmark, ResnetRun};
 pub use scenario::{Scenario, ScenarioError, ScenarioOutcome, SweepSpec, WorkloadKind};
-pub use serve::{ArrivalKind, ServeBenchmark, ServePoint, SloClass, SloPolicy, StepSnapshot};
+pub use serve::{ArrivalKind, ServeBenchmark, ServePoint, SloClass, SloPolicy};
 pub use sweep::{NodeDemand, ShardPlan, ShardRecord, ShardedSweep, SweepPoint, SweepRunner};
 pub use trend::{MetricTrend, TrendConfig, TrendReport};

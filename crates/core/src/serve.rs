@@ -1,5 +1,5 @@
-//! Async inference serving — an event-driven simulator with SLO-aware
-//! continuous batching.
+//! Async inference serving on one node: seeded arrival traces, SLO
+//! classes and the single-node serving benchmark.
 //!
 //! The paper reports offline throughput and energy; production serving
 //! is judged on *tail latency under load* (MLPerf Power's latency-bounded
@@ -8,15 +8,22 @@
 //! request queue, a continuous batcher admits requests at decode
 //! boundaries (prefill interleaved with decode, vLLM-style KV-cache
 //! reservation, per-class deadline budgets), and overload is handled by
-//! *explicit shedding* rather than unbounded queueing. The whole loop is
+//! *explicit shedding* rather than unbounded queueing. The simulation is
 //! deterministic given the seed — no wall clock anywhere — so load
 //! sweeps run in tier-1 tests, bit-identical across thread counts.
 //!
-//! The simulator emits serving figures of merit ([`ServeFom`]): p50/p95/
-//! p99 time-to-first-token and per-token latency, goodput (SLO-met
-//! tokens/s), Wh per kilo-token under load, and the device power duty
-//! cycle. Load grids (arrival rate × batch cap) execute through the
-//! [`crate::sweep::SweepRunner`] like every other benchmark family.
+//! A [`ServeBenchmark`] runs as a one-replica fleet on the
+//! [`crate::fleet`] event-driven simulator (one replica, round-robin
+//! routing, no autoscaling, no disaggregation, no prefix reuse), so
+//! single-node and fleet serving share one batcher, one cost model and
+//! one power metering path. This module owns the arrival trace, the
+//! request and SLO types, and the projection of the fleet's output onto
+//! [`SimReport`] and the serving figures of merit ([`ServeFom`]):
+//! p50/p95/p99 time-to-first-token and per-token latency, goodput
+//! (SLO-met tokens/s), Wh per kilo-token under load, and the device
+//! power duty cycle. Load grids (arrival rate × batch cap) execute
+//! through the [`crate::sweep::SweepRunner`] like every other benchmark
+//! family.
 //!
 //! ## Batching policy
 //!
@@ -37,21 +44,14 @@
 //!   `Served`/`Shed` — the property tests in `tests/serve_props.rs` pin
 //!   this, along with FIFO-within-class and the occupancy/memory caps.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome};
+use crate::engine::{PhaseSpec, RunOutcome};
+use crate::fleet::{FleetBenchmark, FleetConfig, FleetReport, RoutePolicy};
 use crate::fom::{LatencyPercentiles, ServeFom};
 use crate::sweep::SweepRunner;
-use caraml_accel::spec::{DeviceSpec, Workload as SpecWorkload};
-use caraml_accel::{
-    AccelError, KernelProfile, NodeConfig, PhaseKind, Precision, RooflineModel, SystemId,
-};
+use caraml_accel::{AccelError, NodeConfig, Precision, SystemId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Per-step launch overhead, seconds — decode loops are CUDA-graph
-/// captured (same constant as the offline inference benchmark).
-const SERVE_LAUNCH_OVERHEAD_S: f64 = 5e-5;
 
 /// Service classes with distinct latency deadlines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -292,54 +292,85 @@ impl ServeBenchmark {
         self
     }
 
+    /// The benchmark as a one-replica fleet: one replica, round-robin
+    /// routing, no autoscaling, no disaggregation, no prefix reuse.
+    fn as_fleet(&self) -> FleetBenchmark {
+        FleetBenchmark {
+            config: FleetConfig {
+                serve: self.config.clone(),
+                replicas: 1,
+                policy: RoutePolicy::RoundRobin,
+                autoscale: None,
+                disaggregated: false,
+                sessions: 1,
+                prefix_groups: 0,
+                shared_prefix_tokens: 0,
+                replica_precisions: None,
+            },
+        }
+    }
+
     /// Run one load point end-to-end (simulation + power measurement).
     pub fn run(&self, point: ServePoint) -> Result<ServeFom, AccelError> {
-        engine::execute(&ServeWorkload { bench: self, point }).into_result()
+        let fleet = self.as_fleet();
+        let report = fleet.simulate(point)?;
+        let meter = fleet.meter(&report)?.pop().expect("one replica");
+        let s = RequestSummary::new(&report, &self.config.slo, meter.energy_wh);
+        Ok(ServeFom {
+            system: NodeConfig::shared(self.config.system).platform.clone(),
+            precision: self.config.precision,
+            rate_per_s: point.rate_per_s,
+            batch_cap: point.batch_cap,
+            requests: s.requests,
+            served: s.served,
+            shed: s.shed,
+            ttft: s.ttft,
+            tpot: s.tpot,
+            tokens_per_s: s.tokens_per_s,
+            goodput_tokens_per_s: s.goodput_tokens_per_s,
+            slo_attainment: s.slo_attainment,
+            energy_wh_per_ktoken: s.energy_wh_per_ktoken,
+            mean_power_w: meter.mean_power_w,
+            peak_power_w: meter.peak_power_w,
+            busy_fraction: meter.busy_fraction,
+        })
     }
 
     /// Run a load grid through a [`SweepRunner`]; outcomes come back in
     /// grid order regardless of execution order.
     pub fn sweep(&self, runner: SweepRunner, points: Vec<ServePoint>) -> Vec<RunOutcome<ServeFom>> {
-        runner.map(points, |p| {
-            engine::execute(&ServeWorkload {
-                bench: self,
-                point: p,
-            })
+        runner.map(points, |p| RunOutcome::from_result(self.run(p)))
+    }
+
+    /// Pure batching simulation of one load point — no power
+    /// measurement. This is what the property tests drive; `run` meters
+    /// the phase schedule of the identical simulation.
+    pub fn simulate(&self, point: ServePoint) -> Result<SimReport, AccelError> {
+        let mut fleet = self.as_fleet().simulate(point)?;
+        let replica = fleet.replicas.pop().expect("one replica");
+        Ok(SimReport {
+            records: fleet.records,
+            phases: replica.phases,
+            makespan_s: fleet.makespan_s,
+            max_occupancy: replica.max_occupancy,
+            max_kv_reserved_bytes: replica.max_kv_reserved_bytes,
+            kv_budget_bytes: replica.kv_budget_bytes,
+            weight_bytes: replica.weight_bytes,
+            decode_steps: fleet.decode_steps,
+            served_tokens: fleet.served_tokens,
         })
     }
+}
 
-    /// Pure batching simulation of one load point — no node, no power
-    /// measurement. This is what the property tests drive; the engine
-    /// path runs the identical function against the context's spec.
-    pub fn simulate(&self, point: ServePoint) -> Result<SimReport, AccelError> {
-        self.validate(point)?;
-        let node = NodeConfig::shared(self.config.system);
-        simulate_on_spec(&node.device, &self.config, point)
-    }
-
-    /// [`ServeBenchmark::simulate`] with a per-decode-step observer: the
-    /// callback receives a [`StepSnapshot`] before every decode step.
-    /// Observation is read-only — the report is bit-identical to
-    /// [`ServeBenchmark::simulate`] — so invariant tests can watch KV
-    /// occupancy without duplicating batcher internals.
-    pub fn simulate_observed(
-        &self,
-        point: ServePoint,
-        observer: &mut dyn FnMut(&StepSnapshot),
-    ) -> Result<SimReport, AccelError> {
-        self.validate(point)?;
-        let node = NodeConfig::shared(self.config.system);
-        simulate_on_spec_observed(&node.device, &self.config, point, Some(observer))
-    }
-
+impl ServeConfig {
+    /// Reject a config or load point the serving model cannot run.
     pub(crate) fn validate(&self, point: ServePoint) -> Result<(), AccelError> {
-        let cfg = &self.config;
-        if cfg.system == SystemId::Gc200 {
+        if self.system == SystemId::Gc200 {
             return Err(AccelError::InvalidConfig(
                 "serving path models the GPU systems".into(),
             ));
         }
-        if cfg.num_requests == 0 {
+        if self.num_requests == 0 {
             return Err(AccelError::InvalidConfig(
                 "arrival trace needs at least one request".into(),
             ));
@@ -354,12 +385,12 @@ impl ServeBenchmark {
                 "batch cap must be positive".into(),
             ));
         }
-        if cfg.prompt_tokens.0 == 0 || cfg.prompt_tokens.0 > cfg.prompt_tokens.1 {
+        if self.prompt_tokens.0 == 0 || self.prompt_tokens.0 > self.prompt_tokens.1 {
             return Err(AccelError::InvalidConfig(
                 "prompt token range must be non-empty and positive".into(),
             ));
         }
-        if cfg.gen_tokens.0 == 0 || cfg.gen_tokens.0 > cfg.gen_tokens.1 {
+        if self.gen_tokens.0 == 0 || self.gen_tokens.0 > self.gen_tokens.1 {
             return Err(AccelError::InvalidConfig(
                 "generation token range must be non-empty and positive".into(),
             ));
@@ -367,7 +398,7 @@ impl ServeBenchmark {
         if let ArrivalKind::Bursty {
             burst_factor,
             mean_burst,
-        } = cfg.arrival
+        } = self.arrival
         {
             if burst_factor < 1.0 || mean_burst < 1.0 {
                 return Err(AccelError::InvalidConfig(
@@ -376,6 +407,78 @@ impl ServeBenchmark {
             }
         }
         Ok(())
+    }
+}
+
+/// The request-level figures of merit [`ServeFom`] and
+/// [`crate::fom::FleetFom`] share: latency percentiles over the served
+/// requests, throughput and goodput over the makespan, and energy per
+/// kilo-token.
+pub(crate) struct RequestSummary {
+    pub(crate) requests: u64,
+    pub(crate) served: u64,
+    pub(crate) shed: u64,
+    pub(crate) ttft: LatencyPercentiles,
+    pub(crate) tpot: LatencyPercentiles,
+    pub(crate) tokens_per_s: f64,
+    pub(crate) goodput_tokens_per_s: f64,
+    pub(crate) slo_attainment: f64,
+    pub(crate) energy_wh_per_ktoken: f64,
+}
+
+impl RequestSummary {
+    pub(crate) fn new(report: &FleetReport, slo: &SloPolicy, energy_wh: f64) -> Self {
+        let records = &report.records;
+        let served_tokens = report.served_tokens;
+        let mut ttfts = Vec::new();
+        let mut tpots = Vec::new();
+        let mut slo_met = 0u64;
+        let mut goodput_tokens = 0u64;
+        for rec in records {
+            if let RequestOutcome::Served {
+                first_token_s,
+                finish_s,
+                tokens,
+                ..
+            } = rec.outcome
+            {
+                let ttft = first_token_s - rec.arrival_s;
+                let tpot = if tokens > 1 {
+                    (finish_s - first_token_s) / (tokens - 1) as f64
+                } else {
+                    0.0
+                };
+                ttfts.push(ttft);
+                tpots.push(tpot);
+                if ttft <= slo.ttft_deadline_s(rec.class) && tpot <= slo.tpot_deadline_s(rec.class)
+                {
+                    slo_met += 1;
+                    goodput_tokens += tokens;
+                }
+            }
+        }
+        let requests = records.len() as u64;
+        let served = ttfts.len() as u64;
+        let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
+        RequestSummary {
+            requests,
+            served,
+            shed: requests - served,
+            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
+            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
+            tokens_per_s: served_tokens as f64 / makespan,
+            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
+            slo_attainment: if served > 0 {
+                slo_met as f64 / served as f64
+            } else {
+                0.0
+            },
+            energy_wh_per_ktoken: if served_tokens > 0 {
+                energy_wh * 1000.0 / served_tokens as f64
+            } else {
+                0.0
+            },
+        }
     }
 }
 
@@ -439,505 +542,6 @@ fn geometric(rng: &mut ChaCha8Rng, mean: f64) -> u64 {
         1
     } else {
         1 + ((1.0 - u).ln() / (1.0 - p).ln()).floor() as u64
-    }
-}
-
-/// Cost model of the serving loop on one device. Shared with the fleet
-/// simulator (`crate::fleet`), which runs the same per-replica batcher
-/// economics behind a router.
-pub(crate) struct ServeCost {
-    pub(crate) fwd_flops_per_token: f64,
-    pub(crate) weight_bytes: u64,
-    pub(crate) kv_bytes_per_token: f64,
-    pub(crate) roofline: RooflineModel,
-    pub(crate) mfu_max: f64,
-    pub(crate) sustained_w: f64,
-}
-
-impl ServeCost {
-    pub(crate) fn new(
-        spec: &DeviceSpec,
-        model: &caraml_models::GptConfig,
-        precision: Precision,
-    ) -> Self {
-        let cost = caraml_models::gpt::cost::GptCost::new(model.clone());
-        let calib = spec.calib(SpecWorkload::Llm);
-        ServeCost {
-            fwd_flops_per_token: cost.forward_flops_per_token(),
-            weight_bytes: cost.weight_bytes(precision),
-            // K and V across all layers at the selected precision.
-            kv_bytes_per_token: cost.kv_bytes_per_token(precision),
-            roofline: RooflineModel::from_parts(
-                spec.peak_fp16_flops(),
-                spec.mem_bw_bytes_per_s(),
-                calib.mfu_max,
-                calib.batch_half,
-                SERVE_LAUNCH_OVERHEAD_S,
-            ),
-            mfu_max: calib.mfu_max,
-            sustained_w: spec.llm.sustained_w,
-        }
-    }
-
-    /// `(duration_s, utilization)` of a prefill over `tokens` prompt
-    /// tokens (compute-bound, like a training forward pass).
-    pub(crate) fn prefill(&self, tokens: u64) -> (f64, f64) {
-        let profile = KernelProfile::new(
-            self.fwd_flops_per_token * tokens as f64,
-            self.weight_bytes as f64 * 2.0,
-        );
-        let est = self.roofline.estimate(&profile, tokens as f64);
-        (est.time_s, (est.mfu / self.mfu_max).clamp(0.0, 1.0))
-    }
-
-    /// `(duration_s, utilization, memory_bound)` of one decode step over
-    /// `batch` concurrent requests holding `kv_tokens` of cache total.
-    pub(crate) fn decode_step(&self, batch: u32, kv_tokens: u64) -> (f64, f64) {
-        let profile = KernelProfile::new(
-            self.fwd_flops_per_token * f64::from(batch),
-            self.weight_bytes as f64 + self.kv_bytes_per_token * kv_tokens as f64,
-        );
-        let est = self.roofline.estimate(&profile, f64::from(batch));
-        let u = if est.compute_bound {
-            (est.mfu / self.mfu_max).clamp(0.0, 1.0)
-        } else {
-            (est.compute_s / est.time_s).clamp(0.05, 1.0) * 0.7 + 0.2
-        };
-        (est.time_s, u)
-    }
-}
-
-/// A request currently decoding.
-pub(crate) struct Running {
-    pub(crate) idx: usize,
-    pub(crate) remaining: u64,
-    /// KV tokens currently resident (grows by one per decode step).
-    pub(crate) kv_tokens: u64,
-    /// Full-lifetime KV reservation, bytes.
-    pub(crate) kv_reserved: u64,
-}
-
-/// Phase accumulator that merges exact-duplicate consecutive phases (a
-/// long idle gap or a run of identical decode steps become one phase).
-pub(crate) struct PhaseLog {
-    pub(crate) phases: Vec<PhaseSpec>,
-    pub(crate) t: f64,
-}
-
-impl PhaseLog {
-    pub(crate) fn new() -> Self {
-        PhaseLog {
-            phases: Vec::new(),
-            t: 0.0,
-        }
-    }
-
-    pub(crate) fn push(
-        &mut self,
-        kind: PhaseKind,
-        label: &'static str,
-        duration_s: f64,
-        u: f64,
-        w: f64,
-    ) {
-        if duration_s <= 0.0 {
-            return;
-        }
-        self.t += duration_s;
-        if let Some(last) = self.phases.last_mut() {
-            if last.kind == kind
-                && last.label == label
-                && last.utilization == u
-                && last.sustained_w == w
-            {
-                last.duration_s += duration_s;
-                return;
-            }
-        }
-        self.phases.push(PhaseSpec {
-            kind,
-            label,
-            active: 1,
-            duration_s,
-            utilization: u,
-            sustained_w: w,
-        });
-    }
-}
-
-/// State of the batcher at one decode-step boundary, as reported to a
-/// step observer (see [`ServeBenchmark::simulate_observed`]): the batch
-/// about to decode and the KV accounting it runs under. Lets external
-/// invariant tests (the fleet property suite in particular) assert KV
-/// budgets per step without re-implementing the simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepSnapshot {
-    /// Virtual time at the start of the decode step, seconds.
-    pub t_s: f64,
-    /// 0-based decode step index.
-    pub step: u64,
-    /// Concurrent requests in this decode step.
-    pub occupancy: u32,
-    /// KV tokens resident across the batch for this step.
-    pub kv_tokens: u64,
-    /// KV bytes reserved (full-lifetime reservations) at this step.
-    pub kv_reserved_bytes: u64,
-    /// The budget those reservations are checked against.
-    pub kv_budget_bytes: u64,
-}
-
-/// The event loop: drive the arrival trace through the continuous
-/// batcher against `spec`, producing the phase schedule and per-request
-/// records. Deterministic — pure math over the seeded trace.
-fn simulate_on_spec(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    point: ServePoint,
-) -> Result<SimReport, AccelError> {
-    simulate_on_spec_observed(spec, cfg, point, None)
-}
-
-/// [`simulate_on_spec`] with an optional per-decode-step observer. The
-/// observer is invoked with a [`StepSnapshot`] immediately before each
-/// decode step executes; it never feeds back into the simulation, so the
-/// observed run is bit-identical to the unobserved one.
-pub(crate) fn simulate_on_spec_observed(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    point: ServePoint,
-    mut observer: Option<&mut dyn FnMut(&StepSnapshot)>,
-) -> Result<SimReport, AccelError> {
-    let cost = ServeCost::new(spec, &cfg.model, cfg.precision);
-    if cost.weight_bytes >= spec.mem_bytes {
-        return Err(AccelError::OutOfMemory {
-            device: spec.name.clone(),
-            requested: cost.weight_bytes,
-            available: spec.mem_bytes,
-            capacity: spec.mem_bytes,
-        });
-    }
-    let kv_budget = ((spec.mem_bytes - cost.weight_bytes) as f64 * cfg.kv_mem_frac) as u64;
-
-    let trace = arrival_trace(cfg, point.rate_per_s);
-    let mut records: Vec<Option<RequestRecord>> = vec![None; trace.len()];
-    let mut log = PhaseLog::new();
-
-    // Queues of indices into `trace`, FIFO per class.
-    let mut queues: [VecDeque<usize>; 2] = [VecDeque::new(), VecDeque::new()];
-    let mut running: Vec<Running> = Vec::new();
-    let mut next_arrival = 0usize; // first trace index not yet queued
-    let mut kv_reserved_total = 0u64;
-    let mut admit_seq = 0u32;
-
-    let mut max_occupancy = 0u32;
-    let mut max_kv_reserved = 0u64;
-    let mut decode_steps = 0u64;
-    let mut served_tokens = 0u64;
-
-    let class_slot = |c: SloClass| match c {
-        SloClass::Interactive => 0usize,
-        SloClass::Batch => 1usize,
-    };
-
-    loop {
-        // Pull arrivals whose time has come into their class queue.
-        while next_arrival < trace.len() && trace[next_arrival].arrival_s <= log.t {
-            let r = &trace[next_arrival];
-            queues[class_slot(r.class)].push_back(next_arrival);
-            next_arrival += 1;
-        }
-
-        // Shed queued requests whose wait already blew the budget.
-        for queue in queues.iter_mut() {
-            queue.retain(|&i| {
-                let r = &trace[i];
-                if log.t - r.arrival_s > cfg.slo.max_queue_wait_s(r.class) {
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Shed {
-                            at_s: log.t,
-                            reason: ShedReason::DeadlineExceeded,
-                        },
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        // Admission: class priority order, FIFO inside a class, bounded
-        // by the occupancy cap and the KV budget.
-        let mut admitted: Vec<usize> = Vec::new();
-        'admit: for queue in queues.iter_mut() {
-            while (running.len() + admitted.len()) < point.batch_cap as usize {
-                let Some(&i) = queue.front() else {
-                    break;
-                };
-                let r = &trace[i];
-                let kv_needed =
-                    (cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
-                if kv_needed > kv_budget {
-                    // Can never fit: shed explicitly instead of livelocking.
-                    queue.pop_front();
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Shed {
-                            at_s: log.t,
-                            reason: ShedReason::KvCacheOverflow,
-                        },
-                    });
-                    continue;
-                }
-                if kv_reserved_total + kv_needed > kv_budget {
-                    // Blocked until running requests release their KV;
-                    // no bypass within the class (FIFO), try next class.
-                    continue 'admit;
-                }
-                queue.pop_front();
-                kv_reserved_total += kv_needed;
-                admitted.push(i);
-            }
-        }
-
-        if !admitted.is_empty() {
-            // Prefill all admitted prompts at once; running requests
-            // stall (decode resumes after — prefill interleaving).
-            let prompt_total: u64 = admitted.iter().map(|&i| trace[i].prompt_tokens).sum();
-            let (dt, u) = cost.prefill(prompt_total);
-            let admit_s = log.t;
-            log.push(PhaseKind::Compute, "prefill", dt, u, cost.sustained_w);
-            for &i in &admitted {
-                let r = &trace[i];
-                let kv_reserved =
-                    (cost.kv_bytes_per_token * (r.prompt_tokens + r.gen_tokens) as f64) as u64;
-                let first_token_s = log.t;
-                if r.gen_tokens <= 1 {
-                    // The prefill emitted the single requested token.
-                    kv_reserved_total -= kv_reserved;
-                    served_tokens += r.gen_tokens;
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Served {
-                            admit_seq,
-                            admit_s,
-                            first_token_s,
-                            finish_s: first_token_s,
-                            tokens: r.gen_tokens,
-                        },
-                    });
-                } else {
-                    records[i] = Some(RequestRecord {
-                        id: r.id,
-                        class: r.class,
-                        arrival_s: r.arrival_s,
-                        gen_tokens: r.gen_tokens,
-                        outcome: RequestOutcome::Served {
-                            admit_seq,
-                            admit_s,
-                            first_token_s,
-                            finish_s: f64::NAN, // patched at completion
-                            tokens: r.gen_tokens,
-                        },
-                    });
-                    running.push(Running {
-                        idx: i,
-                        remaining: r.gen_tokens - 1,
-                        kv_tokens: r.prompt_tokens + 1,
-                        kv_reserved,
-                    });
-                }
-                admit_seq += 1;
-            }
-            max_occupancy = max_occupancy.max(running.len() as u32);
-            max_kv_reserved = max_kv_reserved.max(kv_reserved_total);
-            continue; // re-enter admission before the next decode step
-        }
-
-        if running.is_empty() {
-            let queued = queues[0].len() + queues[1].len();
-            if queued > 0 {
-                // Admission above sheds or admits whenever nothing runs,
-                // so a queued request here means it is waiting on a KV
-                // release that can no longer happen — unreachable, but
-                // keep the loop guarded.
-                unreachable!("queued requests with an empty running batch");
-            }
-            if next_arrival >= trace.len() {
-                break; // drained
-            }
-            let gap = trace[next_arrival].arrival_s - log.t;
-            log.push(PhaseKind::Idle, "idle", gap, 0.0, cost.sustained_w);
-            // Degenerate gap (duplicate arrival times): force progress.
-            if gap <= 0.0 {
-                let r = &trace[next_arrival];
-                queues[class_slot(r.class)].push_back(next_arrival);
-                next_arrival += 1;
-            }
-            continue;
-        }
-
-        // One decode step over the whole running batch.
-        let kv_tokens: u64 = running.iter().map(|r| r.kv_tokens).sum();
-        if let Some(obs) = observer.as_deref_mut() {
-            obs(&StepSnapshot {
-                t_s: log.t,
-                step: decode_steps,
-                occupancy: running.len() as u32,
-                kv_tokens,
-                kv_reserved_bytes: kv_reserved_total,
-                kv_budget_bytes: kv_budget,
-            });
-        }
-        let (dt, u) = cost.decode_step(running.len() as u32, kv_tokens);
-        log.push(PhaseKind::Compute, "decode", dt, u, cost.sustained_w);
-        decode_steps += 1;
-        let now = log.t;
-        running.retain_mut(|run| {
-            run.remaining -= 1;
-            run.kv_tokens += 1;
-            if run.remaining > 0 {
-                return true;
-            }
-            let r = &trace[run.idx];
-            kv_reserved_total -= run.kv_reserved;
-            served_tokens += r.gen_tokens;
-            if let Some(rec) = records[run.idx].as_mut() {
-                if let RequestOutcome::Served { finish_s, .. } = &mut rec.outcome {
-                    *finish_s = now;
-                }
-            }
-            false
-        });
-    }
-
-    let records: Vec<RequestRecord> = records
-        .into_iter()
-        .map(|r| r.expect("every request reaches a terminal state"))
-        .collect();
-    Ok(SimReport {
-        makespan_s: log.t,
-        phases: log.phases,
-        records,
-        max_occupancy,
-        max_kv_reserved_bytes: max_kv_reserved,
-        kv_budget_bytes: kv_budget,
-        weight_bytes: cost.weight_bytes,
-        decode_steps,
-        served_tokens,
-    })
-}
-
-/// One load point of a [`ServeBenchmark`] as an engine workload.
-pub struct ServeWorkload<'a> {
-    pub bench: &'a ServeBenchmark,
-    pub point: ServePoint,
-}
-
-impl engine::Workload for ServeWorkload<'_> {
-    type Plan = SimReport;
-    type Output = ServeFom;
-
-    fn system(&self) -> SystemId {
-        self.bench.config.system
-    }
-
-    fn plan(&self, ctx: &RunContext) -> Result<(SimReport, PhasePlan), AccelError> {
-        self.bench.validate(self.point)?;
-        let report = simulate_on_spec(ctx.device(0).spec(), &self.bench.config, self.point)?;
-        let makespan = report.makespan_s;
-        let plan = PhasePlan {
-            allocations: vec![("weights", report.weight_bytes)],
-            phases: report.phases.clone(),
-            meter: MeterSpec {
-                devices: 1,
-                prefix: "dev",
-                method: "pynvml",
-                interval_s: (makespan / 600.0).max(1e-4),
-                window: (0.0, makespan),
-            },
-            timeline_devices: 0,
-        };
-        Ok((report, plan))
-    }
-
-    fn finish(&self, report: SimReport, exec: Executed, ctx: &RunContext) -> ServeFom {
-        let slo = &self.bench.config.slo;
-        let mut ttfts = Vec::new();
-        let mut tpots = Vec::new();
-        let mut served = 0u64;
-        let mut shed = 0u64;
-        let mut slo_met = 0u64;
-        let mut goodput_tokens = 0u64;
-        for rec in &report.records {
-            match rec.outcome {
-                RequestOutcome::Served {
-                    first_token_s,
-                    finish_s,
-                    tokens,
-                    ..
-                } => {
-                    served += 1;
-                    let ttft = first_token_s - rec.arrival_s;
-                    let tpot = if tokens > 1 {
-                        (finish_s - first_token_s) / (tokens - 1) as f64
-                    } else {
-                        0.0
-                    };
-                    ttfts.push(ttft);
-                    tpots.push(tpot);
-                    if ttft <= slo.ttft_deadline_s(rec.class)
-                        && tpot <= slo.tpot_deadline_s(rec.class)
-                    {
-                        slo_met += 1;
-                        goodput_tokens += tokens;
-                    }
-                }
-                RequestOutcome::Shed { .. } => shed += 1,
-            }
-        }
-        let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
-        let energy_wh = exec.measurement.df.energy_wh(0);
-        let idle_w = ctx.device(0).power_model().idle_w;
-        ServeFom {
-            system: ctx.config().platform.clone(),
-            precision: self.bench.config.precision,
-            rate_per_s: self.point.rate_per_s,
-            batch_cap: self.point.batch_cap,
-            requests: report.records.len() as u64,
-            served,
-            shed,
-            ttft: LatencyPercentiles::from_unsorted(ttfts).unwrap_or_else(LatencyPercentiles::zero),
-            tpot: LatencyPercentiles::from_unsorted(tpots).unwrap_or_else(LatencyPercentiles::zero),
-            tokens_per_s: report.served_tokens as f64 / makespan,
-            goodput_tokens_per_s: goodput_tokens as f64 / makespan,
-            slo_attainment: if served > 0 {
-                slo_met as f64 / served as f64
-            } else {
-                0.0
-            },
-            energy_wh_per_ktoken: if report.served_tokens > 0 {
-                energy_wh * 1000.0 / report.served_tokens as f64
-            } else {
-                0.0
-            },
-            mean_power_w: exec.measurement.mean_power_w(0),
-            peak_power_w: exec.measurement.peak_power_w(0),
-            busy_fraction: ctx.device(0).power_register().busy_fraction(
-                0.0,
-                makespan,
-                idle_w + 1.0,
-            ),
-        }
     }
 }
 
@@ -1075,12 +679,7 @@ mod tests {
     #[test]
     fn interactive_class_is_prioritised_under_load() {
         let b = bench(SystemId::A100);
-        let fom = engine::execute(&ServeWorkload {
-            bench: &b,
-            point: point(300.0, 4),
-        })
-        .into_result()
-        .unwrap();
+        let fom = b.run(point(300.0, 4)).unwrap();
         // Priority admission shows up as queue wait: a served Interactive
         // request was admitted ahead of queued Batch traffic, so its mean
         // admission delay must be well below Batch's (which only survives
@@ -1112,10 +711,7 @@ mod tests {
     fn oversized_model_reports_oom_outcome() {
         let mut b = bench(SystemId::A100);
         b.config.model = caraml_models::GptConfig::gpt_175b();
-        let outcome = engine::execute(&ServeWorkload {
-            bench: &b,
-            point: point(4.0, 8),
-        });
+        let outcome = &b.sweep(SweepRunner::serial(), vec![point(4.0, 8)])[0];
         assert!(outcome.is_oom(), "175B weights cannot fit a 40 GB A100");
     }
 
@@ -1212,31 +808,6 @@ mod tests {
             .unwrap();
         assert_eq!(fom.tokens_per_s, explicit.tokens_per_s);
         assert_eq!(fom.energy_wh_per_ktoken, explicit.energy_wh_per_ktoken);
-    }
-
-    #[test]
-    fn observed_simulation_is_bit_identical_and_stays_in_budget() {
-        let b = bench(SystemId::A100);
-        let p = point(60.0, 8);
-        let plain = b.simulate(p).unwrap();
-        let mut snaps: Vec<StepSnapshot> = Vec::new();
-        let observed = b.simulate_observed(p, &mut |s| snaps.push(*s)).unwrap();
-        // Observation must not perturb the simulation in any way.
-        assert_eq!(plain.makespan_s.to_bits(), observed.makespan_s.to_bits());
-        assert_eq!(plain.records, observed.records);
-        assert_eq!(plain.decode_steps, observed.decode_steps);
-        // One snapshot per decode step, in step and time order, each
-        // within the KV budget the admission check enforces.
-        assert_eq!(snaps.len() as u64, plain.decode_steps);
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.step, i as u64);
-            assert!(s.occupancy > 0);
-            assert!(s.kv_reserved_bytes <= s.kv_budget_bytes);
-            assert_eq!(s.kv_budget_bytes, plain.kv_budget_bytes);
-        }
-        assert!(snaps.windows(2).all(|w| w[0].t_s <= w[1].t_s));
-        let peak = snaps.iter().map(|s| s.occupancy).max().unwrap();
-        assert!(peak <= plain.max_occupancy);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the continuous-batcher invariants.
 //!
-//! The serving simulator is a hand-rolled event loop; these properties
-//! pin the three guarantees the rest of the stack builds on, across
-//! randomized load points, seeds and arrival processes:
+//! Single-node serving runs as a one-replica fleet on the `fleet` event
+//! loop; these properties pin the three guarantees the rest of the stack
+//! builds on, across randomized load points, seeds and arrival
+//! processes:
 //!
 //! * **conservation** — every request in the arrival trace reaches
 //!   exactly one terminal state (served to completion or explicitly

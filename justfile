@@ -12,7 +12,7 @@ verify:
     cargo bench --workspace --no-run
     just check-devices
     just check-scenario
-    just test-fleet
+    just test-serving
     CARAML_SIMD=off cargo test -q -p caraml-tensor
     CARAML_SIMD=off cargo test -q -p caraml-models
 
@@ -54,26 +54,21 @@ figures:
 sweep-bench:
     cargo bench -p caraml-bench --bench sweep_runner
 
-# Serving-only slice of the suite: simulator unit tests, batcher
-# property tests, the 1/2/4-thread determinism harness, and the
-# SlurmSim scheduler coverage the load sweeps lean on. All of these
-# also run under plain `cargo test` (and therefore `just verify`).
-test-serve:
+# Serving slice: the serve and fleet unit tests, both scheduling
+# property suites (incl. the pinned 10⁵-request fleet acceptance
+# scenarios), and both determinism harnesses with the serve golden
+# checksum — the latter re-run with the SIMD dispatcher forced off,
+# since the serving FOM bits must not depend on the dispatch arm.
+# `cargo test -q` builds only the root package, so `verify` calls this
+# recipe to gate them. The SlurmSim coverage lives in `test-sched`.
+test-serving:
     cargo test -p caraml --lib serve -q
-    cargo test -p caraml --test serve_props -q
-    cargo test -p caraml --test serve_determinism -q
-    cargo test -p jube --test slurm_sim -q
-
-# Fleet-serving slice: router/autoscaler/disaggregation unit tests, the
-# scheduling-invariant property suite (incl. the pinned 10⁵-request
-# acceptance scenarios), and the fleet determinism harness — the latter
-# re-run with the SIMD dispatcher forced off, since the fleet FOM bits
-# must not depend on the dispatch arm.
-test-fleet:
     cargo test -p caraml --lib fleet -q
+    cargo test -p caraml --test serve_props -q
     cargo test -p caraml --test fleet_props -q
+    cargo test -p caraml --test serve_determinism -q
     cargo test -p caraml --test fleet_determinism -q
-    CARAML_SIMD=off cargo test -p caraml --test fleet_determinism -q
+    CARAML_SIMD=off cargo test -p caraml --test serve_determinism --test fleet_determinism -q
 
 # Scheduler-focused slice: SlurmSim unit tests, the FIFO-starvation and
 # bounded-pool regression coverage, and the sharded-sweep equivalence
