@@ -10,14 +10,18 @@
 //!
 //! * `F32` — the correctness reference (identical math to the trainer up
 //!   to kernel-order rounding),
-//! * `Bf16` — 2 B/element storage, widened to f32 inside the GEMM packing
-//!   gather ([`caraml_tensor::matmul::gemm_bf16_nt`]),
+//! * `Bf16` — 2 B/element storage, widened to f32 as the GEMM reads it
+//!   ([`caraml_tensor::matmul::gemm_bf16_nt`]),
 //! * `Int8` — per-channel symmetric quantization with the fused dequant
 //!   epilogue ([`caraml_tensor::quant::gemm_i8_nt`]); the KV cache is
 //!   quantized per token as it is appended.
 //!
 //! Activations, LayerNorm parameters, biases, and the output logits stay
 //! f32 at every precision — only the large streamed operands shrink.
+//!
+//! Every linear layer of a decode step is an m = 1 product, which the
+//! kernels run on their GEMV path: each weight row is streamed once at
+//! storage width, unpacked (see [`caraml_tensor::matmul`]).
 
 use super::config::GptConfig;
 use super::model::GptModel;

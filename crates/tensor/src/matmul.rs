@@ -35,6 +35,9 @@
 //! * **Workspace reuse.** Packing panels are drawn from the global
 //!   [`crate::workspace`] pool, so steady-state training steps perform no
 //!   heap allocation in the packing path.
+//! * **An unpacked m = 1 path.** A decode step multiplies one activation
+//!   row by every weight matrix; packing would copy the whole matrix per
+//!   call and run the microkernel with 5 of its 6 rows zero. See below.
 //!
 //! ## Tile-size tuning rationale
 //!
@@ -59,6 +62,50 @@
 //! rayon for the worker count and requires every worker to receive at
 //! least `PAR_MIN_FLOPS_PER_THREAD` of work, since below that the scoped
 //! spawn/join overhead exceeds the kernel time.
+//!
+//! ## The m = 1 path
+//!
+//! [`gemm_strided`] sends a product to [`gemv`] before any other shape
+//! test when `m = 1` and B's reduction axis is contiguous — the
+//! `[out, in]` layout behind [`gemm_nt`], [`gemm_bf16_nt`] and
+//! [`crate::quant::linear_bf16`]; the row-major `A·B` of training takes
+//! it only in the degenerate `n = 1` case. Each weight row is read once
+//! at storage width, with no packing buffer and no padded rows; bf16 is
+//! widened in-register ([`PackElem::load8`]).
+//!
+//! * **Reduction tree.** Each output is [`simd::dot8`] of the activation
+//!   row and its weight row: 8 fused lane chains over ascending `p`,
+//!   [`simd::fold8`], then a sequential fused tail — on the AVX2 arm the
+//!   [`simd::avx2::vdot`] sequence. Four rows share each activation load
+//!   per pass, each in its own chain, so the blocking, the arm and the
+//!   rayon split cannot change a bit, and bf16 stays bit-identical to f32
+//!   on the widened weights. The bits differ from the packed engine's
+//!   (one sequential chain per output), which still serves every
+//!   `m > 1` product.
+//! * **Streams.** Pass `i` reads row `i` of each quarter of the rows, so
+//!   each of the four weight streams is sequential in memory. Four
+//!   adjacent 1–2 KiB rows share a page and defeat the hardware
+//!   prefetchers: on 4 MiB matrices at `k = 1024` from a 256 MiB
+//!   rotating set (2-vCPU Xeon KVM guest, AVX2 arm, one worker), the
+//!   quarter order streamed 11.1/9.9/8.3 GB/s (f32/bf16/int8) against
+//!   10.6/6.4/5.0 GB/s for adjacent rows.
+//! * **Cut-over, in bytes.** A GEMV streams its matrix once at two FLOPs
+//!   per element, so [`gemv_split`] sizes rayon tasks by the bytes they
+//!   stream, not by [`par_grain_flops`]: one task per
+//!   `GEMV_MIN_TASK_BYTES` (2 MiB), at most one per worker, serial below
+//!   two tasks. The shim spawns scoped threads on every call (70–80 µs,
+//!   perfbench's `rayon.fanout_us`), which the second worker's bandwidth
+//!   must repay. On the host above, over a 256 MiB rotating set at
+//!   `k = 1024`, two workers took 2.5–3.2x the serial time at 0.25 MiB,
+//!   1.18–1.23x at 1 MiB, 0.96–1.09x at 2 MiB, 0.81–0.86x at 4 MiB and
+//!   0.72–0.74x at 16 MiB (f32, bf16, int8; medians of 15 alternating
+//!   rounds). A decode step at perfbench's decode shape (4 layers, hidden
+//!   1024, vocabulary 4096; 10 alternating rounds) took 22.6/13.7/8.0 ms
+//!   (f32/bf16/int8) serial and 17.2/12.1/8.1, 16.6/11.7/7.8 and
+//!   17.9/11.8/7.7 ms with a 1, 2 and 4 MiB task floor.
+//!
+//! The int8 engine in [`crate::quant`] has the same path with exact i32
+//! accumulation, so its m = 1 results equal the packed engine's bits.
 
 use crate::simd::{self, Arm};
 use crate::tensor::Tensor;
@@ -115,21 +162,37 @@ impl Layout {
     }
 }
 
-/// Storage element the B-operand packing path can widen to `f32`. This is
-/// how the bf16 tier rides the f32 engine: bf16 weights stay 2 B/element
-/// in memory (halving the streaming traffic of the memory-bound decode
-/// path) and are widened to f32 *inside the packing gather*, so the
-/// microkernel — and therefore the scalar≡AVX2 bit-parity contract — is
-/// untouched. Widening bf16→f32 is exact (bf16 is a prefix of the f32
-/// bit pattern), so results equal an f32 GEMM over the widened matrix.
+/// Storage element of the B operand, widened to `f32` where it is read.
+/// This is how the bf16 tier rides the f32 engine: bf16 weights stay
+/// 2 B/element in memory (halving the streaming traffic of the
+/// memory-bound decode path) and are widened to f32 in the packing
+/// gather, or in-register by the m = 1 path, so the f32 arithmetic — and
+/// therefore the scalar≡AVX2 bit-parity contract — is untouched.
+/// Widening bf16→f32 is exact (bf16 is a prefix of the f32 bit pattern),
+/// so results equal an f32 GEMM over the widened matrix.
 pub(crate) trait PackElem: Copy + Send + Sync {
     fn widen(self) -> f32;
+
+    /// Eight consecutive elements widened into one f32 vector.
+    ///
+    /// # Safety
+    /// Caller must ensure avx2 is available and `p` is valid for eight
+    /// element reads.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256;
 }
 
 impl PackElem for f32 {
     #[inline(always)]
     fn widen(self) -> f32 {
         self
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(p: *const f32) -> std::arch::x86_64::__m256 {
+        // SAFETY: forwarded from the caller.
+        unsafe { std::arch::x86_64::_mm256_loadu_ps(p) }
     }
 }
 
@@ -138,6 +201,19 @@ impl PackElem for u16 {
     #[inline(always)]
     fn widen(self) -> f32 {
         f32::from_bits((self as u32) << 16)
+    }
+
+    /// Zero-extend eight u16 lanes to u32 and shift them into the high
+    /// half: the lane-wise [`PackElem::widen`].
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn load8(p: *const u16) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: forwarded from the caller (eight u16 are 16 bytes).
+        unsafe {
+            let halves = _mm256_cvtepu16_epi32(_mm_loadu_si128(p.cast()));
+            _mm256_castsi256_ps(_mm256_slli_epi32::<16>(halves))
+        }
     }
 }
 
@@ -413,9 +489,10 @@ pub fn gemm_tn_ws(
 }
 
 /// `C = A·Bᵀ` where B is bf16-stored (`[n, k]` of raw bf16 bits, the
-/// `[out, in]` linear-layer layout): the packing gather widens each bf16
-/// element to f32, so B streams from memory at 2 B/element while the
-/// microkernel runs the unchanged f32 dual-arm path.
+/// `[out, in]` linear-layer layout): each bf16 element is widened to f32
+/// where it is read — in the packing gather, or in-register on the m = 1
+/// path — so B streams from memory at 2 B/element while the arithmetic is
+/// the unchanged f32 dual-arm path.
 pub fn gemm_bf16_nt(a: &[f32], b: &[u16], c: &mut [f32], m: usize, k: usize, n: usize) {
     gemm_bf16_nt_ws(a, b, c, m, k, n, workspace::global());
 }
@@ -485,6 +562,11 @@ fn gemm_strided<TB: PackElem>(
     // thread-scoped overrides propagate into the rayon tile tasks.
     let arm = simd::active_arm();
     let fma = simd::fma_chains();
+    if m == 1 && la.cs == 1 && lb.rs == 1 {
+        // One activation row against B rows contiguous along k (the
+        // `[out, in]` layout): stream each row once, unpacked.
+        return gemv(&a[..k], b, lb.cs, c, arm, fma, allow_parallel);
+    }
     if m * n * k < SMALL_GEMM_FLOPS {
         return if fma {
             gemm_direct::<true, _>(a, la, b, lb, c, m, k, n)
@@ -857,25 +939,153 @@ fn gemm_direct<const FMA: bool, TB: PackElem>(
     }
 }
 
-/// Plain dot product.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    // Unrolled by 8 to expose ILP; the compiler auto-vectorises this.
-    let fma = simd::fma_chains();
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for c in 0..chunks {
-        let i = c * 8;
-        for lane in 0..8 {
-            acc[lane] = simd::fmadd(a[i + lane], b[i + lane], acc[lane], fma);
+// ---------- the m = 1 path ----------
+
+/// Output rows one GEMV pass computes together, sharing each activation
+/// load. Every row keeps its own accumulator chain, so the blocking never
+/// changes a result bit.
+pub(crate) const GEMV_ROWS: usize = 4;
+
+/// Least number of weight bytes worth a rayon task of its own in the
+/// m = 1 paths. A decode GEMV streams its matrix once and does two FLOPs
+/// per element, so the cut-over is set in bytes streamed, not in FLOPs
+/// ([`par_grain_flops`]). The shim spawns scoped threads on every call
+/// (tens of µs), which must be repaid by the bandwidth the second worker
+/// adds; see the module docs for the measurement.
+const GEMV_MIN_TASK_BYTES: usize = 2 << 20;
+
+/// Output rows per rayon task for an m = 1 product over `n` rows of
+/// `row_bytes` bytes each, or `None` when the product should run on the
+/// calling thread. Shared with the int8 engine in [`crate::quant`].
+pub(crate) fn gemv_split(n: usize, row_bytes: usize) -> Option<usize> {
+    let tasks = (n * row_bytes / GEMV_MIN_TASK_BYTES).min(rayon::current_num_threads());
+    (tasks > 1).then(|| n.div_ceil(tasks).next_multiple_of(GEMV_ROWS))
+}
+
+/// `c[j] = Σ_p x[p]·B[j, p]`, where row `j` of B is `b[j·ldb..j·ldb+k]`
+/// and `k = x.len()`. Each output is [`simd::dot8`] of `x` and its widened
+/// row — 8 fused lane chains over ascending `p`, [`simd::fold8`], a
+/// sequential fused tail — on both arms (the AVX2 arm is the
+/// [`simd::avx2::vdot`] sequence), so neither the arm, the row blocking
+/// nor the rayon split can change a bit.
+fn gemv<TB: PackElem>(
+    x: &[f32],
+    b: &[TB],
+    ldb: usize,
+    c: &mut [f32],
+    arm: Arm,
+    fma: bool,
+    allow_parallel: bool,
+) {
+    let rows = |j0: usize, out: &mut [f32]| {
+        let b = &b[j0 * ldb..];
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the dispatcher only selects this arm when avx2+fma
+            // are detected at runtime; `b` holds every row `out` covers.
+            Arm::Avx2 => unsafe { gemv_avx2(x, b, ldb, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Arm::Avx2 => unreachable!("AVX2 arm dispatched on non-x86_64"),
+            Arm::Scalar if fma => gemv_scalar::<true, _>(x, b, ldb, out),
+            Arm::Scalar => gemv_scalar::<false, _>(x, b, ldb, out),
+        }
+    };
+    let split = if allow_parallel {
+        gemv_split(c.len(), x.len() * std::mem::size_of::<TB>())
+    } else {
+        None
+    };
+    match split {
+        Some(chunk) => c
+            .par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(t, out)| rows(t * chunk, out)),
+        None => rows(0, c),
+    }
+}
+
+/// Scalar arm of [`gemv`]: [`simd::dot8`] per row, widening as it reads.
+fn gemv_scalar<const FMA: bool, TB: PackElem>(x: &[f32], b: &[TB], ldb: usize, out: &mut [f32]) {
+    let k = x.len();
+    let n8 = k - k % 8;
+    for (j, o) in out.iter_mut().enumerate() {
+        let w = &b[j * ldb..j * ldb + k];
+        let mut lanes = [0.0f32; 8];
+        for (cx, cw) in x[..n8].chunks_exact(8).zip(w[..n8].chunks_exact(8)) {
+            for l in 0..8 {
+                lanes[l] = fmadd::<FMA>(cx[l], cw[l].widen(), lanes[l]);
+            }
+        }
+        let mut t = simd::fold8(lanes);
+        for (&xv, &wv) in x[n8..].iter().zip(&w[n8..]) {
+            t = fmadd::<FMA>(xv, wv.widen(), t);
+        }
+        *o = t;
+    }
+}
+
+/// AVX2+FMA arm of [`gemv`]: [`GEMV_ROWS`] rows per pass, one ymm chain
+/// each, so every `x` vector is loaded once per pass; leftover rows run
+/// one at a time through the same chain. Pass `i` takes row `i` of each
+/// quarter of `out`'s rows, so each of the four weight streams walks one
+/// quarter front to back — sequential streams the hardware prefetchers
+/// follow, where four adjacent rows of 1–2 KiB would share a page.
+///
+/// # Safety
+/// Caller must ensure avx2+fma are available and that `b` holds
+/// `(out.len() − 1)·ldb + x.len()` elements.
+#[cfg(target_arch = "x86_64")]
+#[cfg_attr(
+    not(all(target_feature = "avx2", target_feature = "fma")),
+    target_feature(enable = "avx2,fma")
+)]
+unsafe fn gemv_avx2<TB: PackElem>(x: &[f32], b: &[TB], ldb: usize, out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let k = x.len();
+    let n8 = k - k % 8;
+    let row = |j: usize| &b[j * ldb..j * ldb + k];
+    // The canonical tail after the fold: sequential fused, as in `vdot`.
+    let finish = |acc: __m256, w: &[TB]| {
+        // SAFETY: avx2+fma are available (the caller's contract).
+        let mut t = unsafe { simd::avx2::hsum8(acc) };
+        for (&xv, &wv) in x[n8..].iter().zip(&w[n8..]) {
+            t = xv.mul_add(wv.widen(), t);
+        }
+        t
+    };
+    let q = out.len() / GEMV_ROWS;
+    // SAFETY: every pointer offset is below `n8 ≤ k`, inside `x` and the
+    // `k`-long rows sliced above.
+    unsafe {
+        for i in 0..q {
+            let (w0, w1, w2, w3) = (row(i), row(q + i), row(2 * q + i), row(3 * q + i));
+            let (p0, p1, p2, p3) = (w0.as_ptr(), w1.as_ptr(), w2.as_ptr(), w3.as_ptr());
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            for p in (0..n8).step_by(8) {
+                let xv = _mm256_loadu_ps(x.as_ptr().add(p));
+                a0 = _mm256_fmadd_ps(xv, TB::load8(p0.add(p)), a0);
+                a1 = _mm256_fmadd_ps(xv, TB::load8(p1.add(p)), a1);
+                a2 = _mm256_fmadd_ps(xv, TB::load8(p2.add(p)), a2);
+                a3 = _mm256_fmadd_ps(xv, TB::load8(p3.add(p)), a3);
+            }
+            out[i] = finish(a0, w0);
+            out[q + i] = finish(a1, w1);
+            out[2 * q + i] = finish(a2, w2);
+            out[3 * q + i] = finish(a3, w3);
+        }
+        for j in GEMV_ROWS * q..out.len() {
+            let w = row(j);
+            let mut acc = _mm256_setzero_ps();
+            for p in (0..n8).step_by(8) {
+                let xv = _mm256_loadu_ps(x.as_ptr().add(p));
+                acc = _mm256_fmadd_ps(xv, TB::load8(w.as_ptr().add(p)), acc);
+            }
+            out[j] = finish(acc, w);
         }
     }
-    let mut s = acc.iter().sum::<f32>();
-    for i in chunks * 8..a.len() {
-        s += a[i] * b[i];
-    }
-    s
 }
 
 /// Naive triple-loop reference used by tests.
@@ -1056,22 +1266,57 @@ mod tests {
     }
 
     #[test]
-    fn dot_handles_remainders() {
-        for len in 0..20 {
-            let a: Vec<f32> = (0..len).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i + 1) as f32).collect();
-            let expect: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            assert_eq!(dot(&a, &b), expect);
-        }
-    }
-
-    #[test]
     fn non_square_chain_dimensions() {
         let a = Tensor::ones([1, 5]);
         let b = Tensor::ones([5, 7]);
         let c = matmul(&a, &b).unwrap();
         assert_eq!(c.dims(), &[1, 7]);
         assert_eq!(c.data()[0], 5.0);
+    }
+
+    /// Fractional values, so that a different reduction order rounds
+    /// differently (integer-valued operands sum exactly in any order).
+    fn fractional(len: usize, seed: u64) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| ((i + seed).wrapping_mul(2654435761) % 2003) as f32 / 2003.0 - 0.5)
+            .collect()
+    }
+
+    /// The m = 1 product against `[out, in]` rows is `simd::dot8` of the
+    /// activations and each row, bit for bit, on both arms and under 1-,
+    /// 2- and 4-worker pools. `k` is off every vector width, `n` off the
+    /// row block, and the 4.4 MB of weights are split across workers.
+    #[test]
+    fn gemv_rows_equal_dot8_on_every_arm_and_pool() {
+        let (k, n) = (1021, 1075);
+        let x = fractional(k, 21);
+        let w = fractional(n * k, 22);
+        let fma = simd::fma_chains();
+        let expect: Vec<u32> = w
+            .chunks_exact(k)
+            .map(|row| simd::dot8(&x, row, fma).to_bits())
+            .collect();
+        let arms: &[Arm] = if simd::avx2_available() {
+            &[Arm::Scalar, Arm::Avx2]
+        } else {
+            &[Arm::Scalar]
+        };
+        for &arm in arms {
+            for threads in [1usize, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let got: Vec<u32> = pool.install(|| {
+                    simd::with_arm(arm, || {
+                        let mut c = vec![0.0f32; n];
+                        gemm_nt(&x, &w, &mut c, 1, k, n);
+                        c.iter().map(|v| v.to_bits()).collect()
+                    })
+                });
+                assert_eq!(got, expect, "{arm:?} @ {threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -1163,19 +1408,27 @@ mod proptests {
 
         /// The packed kernel is bit-identical under a 1-thread pool and the
         /// default pool: parallelism must only partition output tiles,
-        /// never change any reduction order.
+        /// never change any reduction order. The same holds for the m = 1
+        /// product against `[out, in]` rows, with `k` off the 16-wide
+        /// step and over 4 MiB of weights, so workers split it.
         #[test]
         fn thread_count_invariance(m in 1usize..96, k in 1usize..80, n in 1usize..96,
                                    seed in 0u64..1000) {
             let a = hashed_mat(m, k, seed, 2654435761, 1024);
             let b = hashed_mat(k, n, seed + 13, 2246822519, 1024);
+            let (k1, n1) = (1009 + k % 15, 1040 + n);
+            let x = hashed_mat(1, k1, seed + 5, 2654435761, 1024);
+            let w = hashed_mat(n1, k1, seed + 17, 2246822519, 1024);
+            let run = || (matmul(&a, &b).unwrap(), matmul_bt(&x, &w).unwrap());
             let pool1 = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-            let serial = pool1.install(|| matmul(&a, &b).unwrap());
+            let serial = pool1.install(run);
             let pool4 = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-            let parallel = pool4.install(|| matmul(&a, &b).unwrap());
-            let default = matmul(&a, &b).unwrap();
-            prop_assert_eq!(serial.data(), parallel.data());
-            prop_assert_eq!(serial.data(), default.data());
+            let parallel = pool4.install(run);
+            let default = run();
+            prop_assert_eq!(serial.0.data(), parallel.0.data());
+            prop_assert_eq!(serial.0.data(), default.0.data());
+            prop_assert_eq!(serial.1.data(), parallel.1.data());
+            prop_assert_eq!(serial.1.data(), default.1.data());
         }
 
         /// Batched variants are thread-count invariant too.

@@ -12,15 +12,24 @@
 //!   round-to-nearest-even, saturation at ±127). 4x less traffic than
 //!   f32.
 //! * **[`Bf16Tensor`]** — bf16 storage (the high 16 bits of the f32 bit
-//!   pattern, RNE on the dropped half). Storage-only: arithmetic widens
-//!   to f32 inside the GEMM packing gather ([`crate::matmul`]), so the
-//!   proven f32 microkernels are reused untouched. 2x less traffic.
+//!   pattern, RNE on the dropped half). Storage-only: the f32 GEMM
+//!   ([`crate::matmul`]) widens each element to f32 where it reads it —
+//!   in the packing gather, or in-register on the m = 1 path — so the f32
+//!   arithmetic is reused untouched. 2x less traffic.
 //! * **[`gemm_i8_nt`]** — int8×int8→i32 GEMM through the same
 //!   packed-panel / 2-D-tile structure as the f32 engine, with the
 //!   per-channel dequantization and bias **fused into the microkernel
 //!   epilogue**: the i32 accumulator block is converted and scaled as it
 //!   is written to C, so no intermediate i32 matrix or separate dequant
 //!   pass exists.
+//! * **The m = 1 path.** With one activation row (a decode step),
+//!   [`gemm_i8_nt`] skips the packed engine, whose 4×16 microkernel would
+//!   run with three zero rows after re-packing the whole weight matrix.
+//!   Each weight row is read once from its `[n, k]` storage, four rows per
+//!   pass sharing each sign-extended activation vector, and each row's
+//!   exact i32 dot product goes through the same epilogue,
+//!   `fmadd(f32(acc), sa·sb[j], bias[j])`. Rayon splits the rows by bytes
+//!   streamed, under the f32 path's rule (see [`crate::matmul`]).
 //!
 //! ## Bit parity and determinism
 //!
@@ -37,14 +46,17 @@
 //!   exactness and the parity contract. Integer addition is associative,
 //!   so scalar≡AVX2 and serial≡parallel hold bit-exactly by
 //!   construction; only the f32 epilogue rounds, and it follows the same
-//!   [`simd::fma_chains`] contract as every other kernel.
+//!   [`simd::fma_chains`] contract as every other kernel. The same
+//!   argument makes the m = 1 path bit-identical to the packed engine:
+//!   its integer sums are taken in another order and its rows split
+//!   differently, but the sums are exact and the epilogue is the same.
 //! * Quantization rounds to nearest-even in both arms: scalar
 //!   `f32::round_ties_even` pairs with `_mm256_cvtps_epi32`, whose
 //!   default MXCSR mode is RNE.
 //! * bf16 encode/decode is pure integer bit manipulation — arm-independent
 //!   by construction — and the bf16 GEMM inherits the f32 engine's parity.
 
-use crate::matmul::{self, MC, NC};
+use crate::matmul::{self, GEMV_ROWS, MC, NC};
 use crate::simd::{self, Arm};
 use crate::workspace::{self, Workspace};
 use rayon::prelude::*;
@@ -393,7 +405,7 @@ pub fn bf16_to_f32(b: u16) -> f32 {
 }
 
 /// A 2-D matrix stored as bf16 bits. Pure storage: every arithmetic
-/// consumer widens to f32 (the GEMM does so inside the packing gather,
+/// consumer widens to f32 (the GEMM does so where it reads each element,
 /// so only 2 B/element ever stream from this buffer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bf16Tensor {
@@ -511,6 +523,9 @@ pub fn gemm_i8_nt_ws(
             }
         }
         return;
+    }
+    if m == 1 {
+        return gemv_i8(a, b, bias, c, arm, fma);
     }
     let n_it = m.div_ceil(MC);
     let n_jt = n.div_ceil(NC);
@@ -768,6 +783,116 @@ unsafe fn epilogue_avx2(
     }
 }
 
+// ---------- the m = 1 path ----------
+
+/// [`gemm_i8_nt`] for one activation row: each weight row is read once,
+/// straight from the `[n, k]` storage, and its exact i32 dot product with
+/// the activations goes through the packed engine's epilogue,
+/// `fmadd(f32(acc), sa·sb[j], bias[j])`. Integer addition is associative,
+/// so the result is bit-identical to the packed engine's whatever the
+/// order of the sum, the arm or the rayon split.
+fn gemv_i8(a: &QTensor, b: &QTensor, bias: Option<&[f32]>, c: &mut [f32], arm: Arm, fma: bool) {
+    let k = a.cols();
+    let x = a.data();
+    let sa = a.scales()[0];
+    let rows = |j0: usize, out: &mut [f32]| {
+        let w = &b.data()[j0 * k..(j0 + out.len()) * k];
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the dispatcher only selects this arm when avx2 is
+            // detected at runtime; `w` holds `out.len()` rows of `k`.
+            Arm::Avx2 => unsafe { gemv_i8_avx2(x, w, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Arm::Avx2 => unreachable!("AVX2 arm dispatched on non-x86_64"),
+            Arm::Scalar => {
+                for (o, wr) in out.iter_mut().zip(w.chunks_exact(k)) {
+                    let acc: i32 = x.iter().zip(wr).map(|(&p, &q)| p as i32 * q as i32).sum();
+                    *o = acc as f32;
+                }
+            }
+        }
+        // The fused epilogue on the converted sums (`as f32` and
+        // `_mm256_cvtepi32_ps` both round to nearest-even).
+        for (jj, o) in out.iter_mut().enumerate() {
+            let j = j0 + jj;
+            let bj = bias.map_or(0.0, |bias| bias[j]);
+            *o = simd::fmadd(*o, sa * b.scales()[j], bj, fma);
+        }
+    };
+    match matmul::gemv_split(c.len(), k) {
+        Some(chunk) => c
+            .par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(t, out)| rows(t * chunk, out)),
+        None => rows(0, c),
+    }
+}
+
+/// AVX2 arm of [`gemv_i8`]: [`GEMV_ROWS`] weight rows per pass share each
+/// sign-extended activation vector, in the quarter order of the f32 arm
+/// (pass `i` takes row `i` of each quarter, so every weight stream is
+/// sequential); 16 k-steps per `_mm256_madd_epi16` (i16×i16→i32 pair
+/// sums, exact — see the module docs), leftover rows one at a time.
+/// Writes each row's exact sum converted to f32.
+///
+/// # Safety
+/// Caller must ensure avx2 is available and that `w` holds `out.len()`
+/// rows of `x.len()` bytes.
+#[cfg(target_arch = "x86_64")]
+#[cfg_attr(not(target_feature = "avx2"), target_feature(enable = "avx2"))]
+unsafe fn gemv_i8_avx2(x: &[i8], w: &[i8], out: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let k = x.len();
+    let k16 = k - k % 16;
+    // SAFETY: avx2 is available (the caller's contract), and `load16` is
+    // only given pointers valid for 16 byte reads.
+    let load16 = |p: *const i8| unsafe { _mm256_cvtepi8_epi16(_mm_loadu_si128(p.cast())) };
+    let finish = |acc: __m256i, wr: &[i8]| {
+        let mut lanes = [0i32; 8];
+        // SAFETY: `lanes` holds the 32 bytes the store writes.
+        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
+        let tail: i32 = x[k16..]
+            .iter()
+            .zip(&wr[k16..])
+            .map(|(&p, &q)| p as i32 * q as i32)
+            .sum();
+        (lanes.iter().sum::<i32>() + tail) as f32
+    };
+    let row = |j: usize| &w[j * k..(j + 1) * k];
+    let q = out.len() / GEMV_ROWS;
+    // SAFETY: every offset is below `k16 ≤ k`, inside `x` and the `k`-long
+    // rows sliced above.
+    unsafe {
+        for i in 0..q {
+            let (w0, w1, w2, w3) = (row(i), row(q + i), row(2 * q + i), row(3 * q + i));
+            let mut a0 = _mm256_setzero_si256();
+            let mut a1 = _mm256_setzero_si256();
+            let mut a2 = _mm256_setzero_si256();
+            let mut a3 = _mm256_setzero_si256();
+            for p in (0..k16).step_by(16) {
+                let xv = load16(x.as_ptr().add(p));
+                a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(xv, load16(w0.as_ptr().add(p))));
+                a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(xv, load16(w1.as_ptr().add(p))));
+                a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(xv, load16(w2.as_ptr().add(p))));
+                a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(xv, load16(w3.as_ptr().add(p))));
+            }
+            out[i] = finish(a0, w0);
+            out[q + i] = finish(a1, w1);
+            out[2 * q + i] = finish(a2, w2);
+            out[3 * q + i] = finish(a3, w3);
+        }
+        for j in GEMV_ROWS * q..out.len() {
+            let wr = row(j);
+            let mut acc = _mm256_setzero_si256();
+            for p in (0..k16).step_by(16) {
+                let xv = load16(x.as_ptr().add(p));
+                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, load16(wr.as_ptr().add(p))));
+            }
+            out[j] = finish(acc, wr);
+        }
+    }
+}
+
 // ---------- convenience wrappers ----------
 
 /// Quantized linear layer: quantize the f32 activations per row, run the
@@ -779,7 +904,8 @@ pub fn linear_i8(x: &[f32], m: usize, w: &QTensor, bias: Option<&[f32]>, c: &mut
 }
 
 /// bf16 linear layer: f32 activations against bf16-stored weights
-/// (`[out, in]`), widened in the packing gather; bias added after.
+/// (`[out, in]`), widened to f32 as the GEMM reads them; bias added
+/// after.
 pub fn linear_bf16(x: &[f32], m: usize, w: &Bf16Tensor, bias: Option<&[f32]>, c: &mut [f32]) {
     matmul::gemm_bf16_nt(x, w.bits(), c, m, w.cols(), w.rows());
     if let Some(bias) = bias {
@@ -1016,6 +1142,16 @@ mod parity_tests {
         both_arms(|| q.dequantize());
     }
 
+    /// Depth of the m = 1 cases: off the 16-wide step and the 8-wide one.
+    const GEMV_K: usize = 1021;
+    /// int8 rows of the m = 1 cases: 4.4 MB of weights, past the
+    /// parallel split, and off the four-row block.
+    const GEMV_N: usize = 4301;
+
+    fn bits(c: &[f32]) -> Vec<u32> {
+        c.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn gemm_i8_bit_parity() {
         let a = QTensor::quantize(&seeded(13 * 67, 73), 13, 67);
@@ -1024,8 +1160,40 @@ mod parity_tests {
         both_arms(|| {
             let mut c = vec![0.0f32; 13 * 29];
             gemm_i8_nt(&a, &b, Some(&bias), &mut c);
-            c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            bits(&c)
         });
+        // m = 1: one activation row against the `[out, in]` weights.
+        let x = QTensor::quantize(&seeded(GEMV_K, 78), 1, GEMV_K);
+        let w = QTensor::quantize(&seeded(GEMV_N * GEMV_K, 79), GEMV_N, GEMV_K);
+        let bias = seeded(GEMV_N, 80);
+        both_arms(|| {
+            let mut c = vec![0.0f32; GEMV_N];
+            gemm_i8_nt(&x, &w, Some(&bias), &mut c);
+            bits(&c)
+        });
+    }
+
+    /// The m = 1 path equals, bit for bit, row 0 of the packed engine's
+    /// two-row product on the same weights (per-row quantization gives
+    /// row 0 the same codes and scale either way).
+    #[test]
+    fn gemm_i8_one_row_equals_row_zero_of_two() {
+        for (k, n) in [(37, 19), (GEMV_K, GEMV_N)] {
+            let src = seeded(2 * k, 84);
+            let two = QTensor::quantize(&src, 2, k);
+            let one = QTensor::quantize(&src[..k], 1, k);
+            let w = QTensor::quantize(&seeded(n * k, 85), n, k);
+            let bias = seeded(n, 86);
+            let mut c2 = vec![0.0f32; 2 * n];
+            gemm_i8_nt(&two, &w, Some(&bias), &mut c2);
+            let run = || {
+                let mut c1 = vec![0.0f32; n];
+                gemm_i8_nt(&one, &w, Some(&bias), &mut c1);
+                bits(&c1)
+            };
+            assert_eq!(run(), bits(&c2[..n]), "k={k} n={n}");
+            both_arms(run);
+        }
     }
 
     #[test]
@@ -1035,20 +1203,34 @@ mod parity_tests {
         both_arms(|| {
             let mut c = vec![0.0f32; 9 * 21];
             linear_bf16(&x, 9, &w, None, &mut c);
-            c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            bits(&c)
+        });
+        // m = 1, with as many weight bytes as the int8 case.
+        let n = GEMV_N / 2;
+        let x = seeded(GEMV_K, 87);
+        let w = Bf16Tensor::from_f32(&seeded(n * GEMV_K, 88), n, GEMV_K);
+        both_arms(|| {
+            let mut c = vec![0.0f32; n];
+            linear_bf16(&x, 1, &w, None, &mut c);
+            bits(&c)
         });
     }
 
     #[test]
     fn gemm_i8_thread_count_invariance() {
-        // Big enough to cross the parallel cut-over on multi-core hosts.
+        // Big enough to cross the parallel cut-over on multi-core hosts,
+        // on both the packed engine and the m = 1 path.
         let (m, k, n) = (300, 128, 600);
         let a = QTensor::quantize(&seeded(m * k, 81), m, k);
         let b = QTensor::quantize(&seeded(n * k, 82), n, k);
+        let x = QTensor::quantize(&seeded(GEMV_K, 89), 1, GEMV_K);
+        let w = QTensor::quantize(&seeded(GEMV_N * GEMV_K, 90), GEMV_N, GEMV_K);
         let run = || {
             let mut c = vec![0.0f32; m * n];
             gemm_i8_nt(&a, &b, None, &mut c);
-            c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            let mut c1 = vec![0.0f32; GEMV_N];
+            gemm_i8_nt(&x, &w, None, &mut c1);
+            (bits(&c), bits(&c1))
         };
         let mut results = Vec::new();
         for threads in [1usize, 2, 4] {

@@ -1,15 +1,19 @@
 # Developer task runner. Install `just`, or paste the recipes into a shell.
 
-# Full local gate: formatting, lints as errors, the test suite, a
-# compile check of every bench target (they are not built by `cargo
-# test` and otherwise rot silently), and the tensor suite re-run with
-# the SIMD dispatcher forced to the scalar arm — the portability
-# fallback must stay green, not just compile.
+# Full local gate: formatting, lints as errors on every target (tests
+# and benches included), the test suite, a compile check of every bench
+# target (they are not built by `cargo test` and otherwise rot
+# silently), the benchmark's own tests (they run every workload end to
+# end, so a kernel change that breaks a decode output check fails
+# here), and the tensor suite re-run with the SIMD dispatcher forced to
+# the scalar arm — the portability fallback must stay green, not just
+# compile.
 verify:
     cargo fmt --check
-    cargo clippy --workspace -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
     cargo test -q
     cargo bench --workspace --no-run
+    cargo test --manifest-path perfbench/Cargo.toml
     just check-devices
     just check-scenario
     just test-serving
