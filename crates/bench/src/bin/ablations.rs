@@ -1,68 +1,55 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! ring vs tree all-reduce, activation recomputation strategies, the
-//! per-iteration launch overhead, and the pipeline micro-batch count.
-//! Each group also prints the ablated *model outputs* once, so the
-//! numeric effect is visible alongside the timing.
+//! Ablations of the design choices called out in DESIGN.md: ring vs
+//! tree all-reduce, activation recomputation strategies, and the
+//! pipeline micro-batch count. Each prints the ablated *model outputs*,
+//! so the numeric effect of every choice is visible side by side.
 
 use caraml_accel::{Link, LinkKind};
 use caraml_models::gpt::cost::{GptCost, Recompute};
 use caraml_models::GptConfig;
 use caraml_parallel::comm::{AllReduceAlgo, CollectiveModel};
 use caraml_parallel::PipelineSchedule;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn ablation_allreduce(c: &mut Criterion) {
+fn ablation_allreduce() {
     let link = Link::new(LinkKind::InfiniBandNdr, 100.0, 3.0e-6);
     let ring = CollectiveModel::new(link);
     let tree = ring.with_algo(AllReduceAlgo::Tree);
-    eprintln!(
+    println!(
         "[ablation] all-reduce of 1.6 GB over 32 ranks: ring {:.3} s, tree {:.3} s",
         ring.allreduce_s(1_600_000_000, 32),
         tree.allreduce_s(1_600_000_000, 32)
     );
-    eprintln!(
+    println!(
         "[ablation] all-reduce of 4 KiB over 32 ranks: ring {:.1} us, tree {:.1} us",
         ring.allreduce_s(4096, 32) * 1e6,
         tree.allreduce_s(4096, 32) * 1e6
     );
-    c.bench_function("allreduce_cost_model_eval", |b| {
-        b.iter(|| ring.allreduce_s(1_600_000_000, 32) + tree.allreduce_s(4096, 32))
-    });
 }
 
-fn ablation_recompute(c: &mut Criterion) {
+fn ablation_recompute() {
     for r in [Recompute::None, Recompute::Selective, Recompute::Full] {
         let cost = GptCost::new(GptConfig::gpt_800m()).with_recompute(r);
-        eprintln!(
+        println!(
             "[ablation] recompute {:?}: {:.2} GFLOP/token, {:.2} GiB activations (micro-batch 4)",
             r,
             cost.train_flops_per_token() / 1e9,
             cost.activation_bytes_per_device(4, 1, 1) as f64 / (1u64 << 30) as f64
         );
     }
-    let cost = GptCost::new(GptConfig::gpt_800m());
-    c.bench_function("gpt_cost_model_eval", |b| {
-        b.iter(|| cost.memory_bytes_per_device(4, 1, 1, 4, true))
-    });
 }
 
-fn ablation_pipeline(c: &mut Criterion) {
+fn ablation_pipeline() {
     let sched = PipelineSchedule::new(4, 0.2186);
     for m in [1u64, 4, 16, 64, 256] {
-        eprintln!(
+        println!(
             "[ablation] pipeline p=4, m={m}: bubble {:.1} %, efficiency {:.3}",
             100.0 * sched.bubble_fraction(m),
             sched.efficiency(m)
         );
     }
-    c.bench_function("pipeline_schedule_eval", |b| {
-        b.iter(|| (1..=256u64).map(|m| sched.step_time_s(m)).sum::<f64>())
-    });
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = ablation_allreduce, ablation_recompute, ablation_pipeline
+fn main() {
+    ablation_allreduce();
+    ablation_recompute();
+    ablation_pipeline();
 }
-criterion_main!(benches);

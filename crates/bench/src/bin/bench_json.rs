@@ -1,79 +1,33 @@
-//! Machine-readable kernel throughput snapshot: times the tensor-stack
-//! hot kernels (GEMM variants, batched matmul, ResNet50-shaped
-//! convolutions, and the fused non-GEMM kernel layer) plus end-to-end
-//! training steps for the two paper workloads, and writes
-//! `BENCH_TENSOR.json`. Committing the file each PR gives the repo a perf
-//! trajectory that reviewers can diff, which is the paper's whole point:
-//! throughput numbers are only credible when they are measured, tracked,
-//! and reproducible (`just bench-json`).
+//! Kernel throughput probes: times the tensor stack's hot kernels (GEMM
+//! variants, batched matmul, ResNet50-shaped convolutions, the fused
+//! non-GEMM kernel layer, fused causal attention and the int8 quantized
+//! tier) and prints one JSON report of the medians to stdout, with a
+//! progress line per kernel on stderr (`just bench-json`).
 //!
 //! Compute-bound kernels report GFLOP/s; bandwidth-bound elementwise and
 //! reduction kernels report GB/s against the bytes they actually move
 //! (roofline-style: a fused kernel shows up as moving fewer bytes for
-//! the same work). Training steps report tokens/s or images/s.
+//! the same work).
 //!
-//! `bench_json --check` re-times everything and compares the fresh
-//! medians against the committed `BENCH_TENSOR.json`, failing (exit 1)
-//! if any kernel regressed by more than 25% — a coarse tripwire, kept
-//! out of the tier-1 gate because wall-clock medians on shared CI boxes
-//! are noisy (`just bench-check`).
+//! Every record carries the SIMD `arm` it ran on: the main sweep uses the
+//! runtime-dispatched default, and the dual-arm kernels (GEMM, the fused
+//! memory-bound layer, fused attention, the int8 kernels) are re-timed
+//! with the dispatcher pinned to each arm, so the scalar-vs-AVX2 delta is
+//! one run away. `--filter <substr>[,<substr>...]` times only the
+//! matching kernel families (`just bench-quant`).
 //!
-//! Schema v3 tags every record with the SIMD `arm` it ran on: the main
-//! sweep uses the runtime-dispatched default, and the dual-arm kernels
-//! (GEMM, the fused memory-bound layer, fused attention) are re-timed
-//! with the dispatcher pinned to each arm so the scalar-vs-AVX2 delta is
-//! part of the tracked trajectory. `bench_json --report` renders the
-//! fresh run against the committed snapshot as a markdown regression
-//! report in `docs/performance.md` (`just bench-report`).
-//!
-//! Schema v4 adds a `precision` field and the quantized inference tier:
-//! `quantize`/`dequantize`/`gemm_i8` kernel records plus decode-shaped
-//! `decode_step_{f32,bf16,int8}` single-token steps whose items/s ratio
-//! tracks the memory-bound win of narrower weights and KV. A
-//! `--filter <substr>[,<substr>...]` flag re-times just the matching
-//! kernel families and prints them without touching the committed
-//! snapshot (`just bench-quant`).
-//!
-//! Schema v5 adds the fleet tier: `fleet_*` records time the replica
-//! router's event loop end-to-end (routing + autoscaling +
-//! prefill/decode disaggregation over a bursty trace), with items/s =
-//! simulated generated tokens per wall second, so the fleet scheduler's
-//! own overhead is part of the tracked trajectory.
-//!
-//! `--history <path>` additionally appends every fresh median to the
-//! shared `results.jsonl` history store (see `caraml trend`), and a
-//! failing `--check` always appends the regressed records there
-//! (scenario `bench-check`) before exiting 1, so regressions are
-//! recorded in the perf trajectory rather than only printed.
+//! These probes are diagnostics, not a gate: end-to-end throughput and
+//! its regression bounds live in the `perfbench` benchmark.
 
-use caraml::continuous::{default_label, History, HistoryRecord};
-use caraml::fleet::{AutoscaleConfig, FleetBenchmark, RoutePolicy};
-use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
-use caraml::serve::{ArrivalKind, ServeBenchmark, ServePoint};
-use caraml::sweep::{grid, ShardPlan};
-use caraml::SweepRunner;
-use caraml_accel::SystemId;
-use caraml_data::SyntheticImages;
-use caraml_models::{GptConfig, GptInfer, GptModel, ResnetConfig, ResnetModel};
 use caraml_tensor::attention::{fused_causal_attention, fused_causal_attention_backward};
 use caraml_tensor::conv::{conv2d, Conv2dCfg};
 use caraml_tensor::matmul::{bmm, matmul, matmul_at, matmul_bt};
-use caraml_tensor::optim::{Adam, Optimizer, Sgd};
 use caraml_tensor::simd::{avx2_available, with_arm, Arm};
 use caraml_tensor::{kernels, nn, Tensor};
 use serde::Serialize;
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
-
-/// Allowed median-time regression vs the committed snapshot in `--check`
-/// mode (1.25 = fail beyond +25%).
-const CHECK_TOLERANCE: f64 = 1.25;
-
-/// Kernels whose committed median is below this are reported but exempt
-/// from the `--check` tripwire: sub-quarter-millisecond medians are
-/// dominated by timer and scheduler jitter, so a percentage gate on
-/// them only flakes.
-const CHECK_MIN_MS: f64 = 0.25;
 
 #[derive(Serialize)]
 struct Record {
@@ -83,19 +37,15 @@ struct Record {
     /// pinned `scalar` / `avx2` arm from the dual-arm comparison sweep.
     arm: String,
     /// Numeric precision of the kernel's storage tier (`f32` for the
-    /// classic stack; `bf16` / `int8` for the quantized inference tier).
+    /// classic stack; `int8` for the quantized inference tier).
     precision: String,
     /// Floating-point ops per call (0 for bandwidth-bound kernels).
     flops: u64,
-    /// Bytes moved per call (reads + writes; 0 for end-to-end steps).
+    /// Bytes moved per call (reads + writes).
     bytes: u64,
-    /// Work items per call — tokens or images — for end-to-end training
-    /// steps (0 for kernels).
-    items: u64,
     median_ms: f64,
     gflops: f64,
     gbps: f64,
-    items_per_s: f64,
 }
 
 #[derive(Serialize)]
@@ -150,7 +100,6 @@ fn record_prec(
     precision: &str,
     flops: u64,
     bytes: u64,
-    items: u64,
     f: impl FnMut(),
 ) {
     if !kernel_selected(kernel) {
@@ -159,20 +108,17 @@ fn record_prec(
     let median = time_median(samples, f);
     let gflops = flops as f64 / median / 1e9;
     let gbps = bytes as f64 / median / 1e9;
-    let items_per_s = items as f64 / median;
     let rate = if flops > 0 {
         format!("{gflops:>8.2} GFLOP/s")
-    } else if bytes > 0 {
-        format!("{gbps:>8.2} GB/s")
     } else {
-        format!("{items_per_s:>8.0} items/s")
+        format!("{gbps:>8.2} GB/s")
     };
     let tag = if arm == "default" {
         String::new()
     } else {
         format!(" [{arm}]")
     };
-    println!(
+    eprintln!(
         "{:<16} {shape:<28} {:>9.3} ms  {rate}",
         format!("{kernel}{tag}"),
         median * 1e3
@@ -184,11 +130,9 @@ fn record_prec(
         precision: precision.to_string(),
         flops,
         bytes,
-        items,
         median_ms: median * 1e3,
         gflops,
         gbps,
-        items_per_s,
     });
 }
 
@@ -201,15 +145,11 @@ fn record_arm(
     arm: &str,
     flops: u64,
     bytes: u64,
-    items: u64,
     f: impl FnMut(),
 ) {
-    record_prec(
-        records, samples, kernel, shape, arm, "f32", flops, bytes, items, f,
-    );
+    record_prec(records, samples, kernel, shape, arm, "f32", flops, bytes, f);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record(
     records: &mut Vec<Record>,
     samples: usize,
@@ -217,12 +157,9 @@ fn record(
     shape: &str,
     flops: u64,
     bytes: u64,
-    items: u64,
     f: impl FnMut(),
 ) {
-    record_arm(
-        records, samples, kernel, shape, "default", flops, bytes, items, f,
-    );
+    record_arm(records, samples, kernel, shape, "default", flops, bytes, f);
 }
 
 fn gemm_and_conv(records: &mut Vec<Record>, samples: usize) {
@@ -233,33 +170,15 @@ fn gemm_and_conv(records: &mut Vec<Record>, samples: usize) {
         let flops = 2 * (n as u64).pow(3);
         let bytes = 3 * (n * n * 4) as u64;
         let shape = format!("{n}x{n}x{n}");
-        record(records, samples, "matmul", &shape, flops, bytes, 0, || {
+        record(records, samples, "matmul", &shape, flops, bytes, || {
             black_box(matmul(&a, &b).unwrap());
         });
-        record(
-            records,
-            samples,
-            "matmul_bt",
-            &shape,
-            flops,
-            bytes,
-            0,
-            || {
-                black_box(matmul_bt(&a, &b).unwrap());
-            },
-        );
-        record(
-            records,
-            samples,
-            "matmul_at",
-            &shape,
-            flops,
-            bytes,
-            0,
-            || {
-                black_box(matmul_at(&a, &b).unwrap());
-            },
-        );
+        record(records, samples, "matmul_bt", &shape, flops, bytes, || {
+            black_box(matmul_bt(&a, &b).unwrap());
+        });
+        record(records, samples, "matmul_at", &shape, flops, bytes, || {
+            black_box(matmul_at(&a, &b).unwrap());
+        });
     }
 
     // GPT-ish rectangular GEMM: [tokens, hidden] x [hidden, 4*hidden].
@@ -273,7 +192,6 @@ fn gemm_and_conv(records: &mut Vec<Record>, samples: usize) {
         &format!("{m}x{k}x{n} (mlp)"),
         2 * (m * k * n) as u64,
         ((m * k + k * n + m * n) * 4) as u64,
-        0,
         || {
             black_box(matmul(&a, &b).unwrap());
         },
@@ -289,7 +207,6 @@ fn gemm_and_conv(records: &mut Vec<Record>, samples: usize) {
         "8x64x64x64 (attention)",
         2 * 8 * 64u64.pow(3),
         3 * 8 * 64 * 64 * 4,
-        0,
         || {
             black_box(bmm(&a, &b).unwrap());
         },
@@ -333,7 +250,7 @@ fn gemm_and_conv(records: &mut Vec<Record>, samples: usize) {
             + wd.iter().product::<usize>()
             + xd[0] * wd[0] * oh * ow)
             * 4) as u64;
-        record(records, 7, "conv2d", label, flops, bytes, 0, || {
+        record(records, 7, "conv2d", label, flops, bytes, || {
             black_box(conv2d(&x, &w, *cfg).unwrap());
         });
     }
@@ -359,7 +276,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         2 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::softmax_last(&x));
         },
@@ -372,7 +288,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::softmax_last_backward(&y, &x2));
         },
@@ -385,7 +300,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         2 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::cross_entropy_logits(&x, &targets));
         },
@@ -399,7 +313,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::layernorm(&x, &gamma, &beta, 1e-5));
         },
@@ -412,7 +325,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::layernorm_backward(&cache, &gamma, &x2));
         },
@@ -424,7 +336,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         2 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::gelu(&x));
         },
@@ -436,7 +347,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::bias_gelu(&x, &bias));
         },
@@ -449,7 +359,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::bias_gelu_backward(&pre, &x2));
         },
@@ -461,7 +370,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         3 * numel as u64 * fsz,
-        0,
         || {
             black_box(nn::add_relu(&x, &x2));
         },
@@ -473,7 +381,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &format!("{shape}+{n}"),
         0,
         2 * numel as u64 * fsz,
-        0,
         || {
             black_box(x.add(&bias).unwrap());
         },
@@ -485,7 +392,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         &shape,
         0,
         numel as u64 * fsz,
-        0,
         || {
             black_box(x.sum_axis0());
         },
@@ -498,7 +404,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         "8x128x64",
         0,
         2 * (8 * 128 * 64) as u64 * fsz,
-        0,
         || {
             black_box(nn::rope(&r, false));
         },
@@ -519,7 +424,6 @@ fn elementwise_kernels(records: &mut Vec<Record>, samples: usize) {
         "1M params",
         0,
         7 * len as u64 * fsz,
-        0,
         || {
             kernels::adam_update(
                 &mut param, &grad, &mut m, &mut v, 1e-4, 0.9, 0.999, 1e-8, 0.01, 0.1, 0.001,
@@ -549,7 +453,6 @@ fn attention_records(records: &mut Vec<Record>, samples: usize, arm: &str) {
         arm,
         4 * bh as u64 * tri * d as u64,
         0,
-        0,
         || {
             black_box(fused_causal_attention(&q, &k, &v, scale));
         },
@@ -562,7 +465,6 @@ fn attention_records(records: &mut Vec<Record>, samples: usize, arm: &str) {
         &shape,
         arm,
         10 * bh as u64 * tri * d as u64,
-        0,
         0,
         || {
             black_box(fused_causal_attention_backward(
@@ -595,7 +497,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 2 * (n as u64).pow(3),
                 3 * (n * n * 4) as u64,
-                0,
                 || {
                     black_box(matmul(&a, &b).unwrap());
                 },
@@ -615,7 +516,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 2 * numel as u64 * fsz,
-                0,
                 || {
                     black_box(nn::softmax_last(&x));
                 },
@@ -630,7 +530,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 3 * numel as u64 * fsz,
-                0,
                 || {
                     black_box(nn::layernorm(&x, &gamma, &beta, 1e-5));
                 },
@@ -643,7 +542,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 2 * numel as u64 * fsz,
-                0,
                 || {
                     black_box(nn::gelu(&x));
                 },
@@ -656,7 +554,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 3 * numel as u64 * fsz,
-                0,
                 || {
                     black_box(nn::bias_gelu(&x, &bias));
                 },
@@ -669,7 +566,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 numel as u64 * fsz,
-                0,
                 || {
                     black_box(x.sum_axis0());
                 },
@@ -683,7 +579,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 2 * (8 * 128 * 64) as u64 * fsz,
-                0,
                 || {
                     black_box(nn::rope(&r, false));
                 },
@@ -701,7 +596,6 @@ fn per_arm_kernels(records: &mut Vec<Record>, samples: usize) {
                 label,
                 0,
                 7 * len as u64 * fsz,
-                0,
                 || {
                     kernels::adam_update(
                         &mut param, &grad, &mut m, &mut v, 1e-4, 0.9, 0.999, 1e-8, 0.01, 0.1, 0.001,
@@ -744,7 +638,6 @@ fn quant_kernels(records: &mut Vec<Record>, samples: usize) {
             "int8",
             0,
             (numel * 4 + numel + rows * 4) as u64,
-            0,
             || {
                 black_box(QTensor::quantize(&src, rows, cols));
             },
@@ -758,7 +651,6 @@ fn quant_kernels(records: &mut Vec<Record>, samples: usize) {
             "int8",
             0,
             (numel + rows * 4 + numel * 4) as u64,
-            0,
             || {
                 qt.dequantize_into(&mut dq);
                 black_box(&dq);
@@ -773,7 +665,6 @@ fn quant_kernels(records: &mut Vec<Record>, samples: usize) {
             "int8",
             2 * (n as u64).pow(3),
             (2 * n * n + n * n * 4) as u64,
-            0,
             || {
                 gemm_i8_nt(&qa, &qb, Some(&bias), &mut c);
                 black_box(&c);
@@ -791,562 +682,41 @@ fn quant_kernels(records: &mut Vec<Record>, samples: usize) {
     }
 }
 
-/// Single-token decode steps through the quantized GPT inference tier,
-/// one record per precision. The shape is decode-realistic (weights far
-/// exceed cache, batch 1), so the step is memory-bound and the
-/// items/s ratio between tiers tracks the bytes-per-element win — the
-/// acceptance gate is int8 ≥ 1.5× f32.
-fn decode_steps(records: &mut Vec<Record>) {
-    use caraml_accel::Precision;
-    let cfg = GptConfig {
-        name: "bench".into(),
-        layers: 4,
-        hidden: 1024,
-        heads: 16,
-        seq_len: 96,
-        vocab: 4096,
-    };
-    let cases = [
-        (Precision::F32, "decode_step_f32"),
-        (Precision::Bf16, "decode_step_bf16"),
-        (Precision::Int8, "decode_step_int8"),
-    ];
-    for (precision, name) in cases {
-        if !kernel_selected(name) {
-            continue; // skip the synthetic-weight build too under --filter
-        }
-        let mut infer = GptInfer::synthetic(cfg.clone(), 3, precision);
-        infer.prefill(&[1, 2, 3, 4]);
-        let mut token = 5u32;
-        record_prec(
-            records,
-            9,
-            name,
-            "4L h1024 v4096 b1",
-            "default",
-            precision.tag(),
-            0,
-            0,
-            1,
-            || {
-                black_box(infer.decode_step(token % 4096));
-                token = token.wrapping_add(1);
-            },
-        );
-    }
-}
-
-/// End-to-end training steps (forward + backward + optimizer) for the
-/// two paper workloads at laptop scale.
-fn train_steps(records: &mut Vec<Record>) {
-    let (vocab, seq, batch) = (256usize, 32usize, 4usize);
-    let model = GptModel::new(GptConfig::tiny(vocab, seq), 0);
-    let params = model.parameters();
-    let mut opt = Adam::new(1e-3);
-    let inputs: Vec<Vec<u32>> = (0..batch as u32)
-        .map(|r| {
-            (0..seq as u32)
-                .map(|i| (r * 13 + i) % vocab as u32)
-                .collect()
-        })
-        .collect();
-    let targets: Vec<Vec<u32>> = (0..batch as u32)
-        .map(|r| {
-            (0..seq as u32)
-                .map(|i| (r * 13 + i + 1) % vocab as u32)
-                .collect()
-        })
-        .collect();
-    record(
-        records,
-        9,
-        "train_step_gpt",
-        &format!("tiny v{vocab} s{seq} b{batch}"),
-        0,
-        0,
-        (batch * seq) as u64,
-        || {
-            model.loss(&inputs, &targets).backward();
-            opt.step(&params);
-        },
-    );
-
-    let (classes, img, rbatch) = (8usize, 32usize, 8usize);
-    let model = ResnetModel::new(ResnetConfig::tiny(classes, img), 1);
-    let params = model.parameters();
-    let mut opt = Sgd::with_momentum(0.05, 0.9);
-    let src = SyntheticImages::new(7, classes, 3, img, img);
-    let (images, labels) = src.batch(0, rbatch);
-    record(
-        records,
-        7,
-        "train_step_resnet",
-        &format!("tiny c{classes} i{img} b{rbatch}"),
-        0,
-        0,
-        rbatch as u64,
-        || {
-            model.loss(&images, &labels).backward();
-            opt.step(&params);
-        },
-    );
-}
-
-/// The serving simulator's event loop as a benchmark target: wall-clock
-/// time to drive a full load point through the continuous batcher, with
-/// items/s = simulated generated tokens per wall second. The simulator
-/// is pure CPU work (no sleeping — virtual clock), so its throughput is
-/// a real perf trajectory like any kernel's.
-fn serve_steps(records: &mut Vec<Record>) {
-    let mut bench = ServeBenchmark::new(SystemId::H100Jrdc);
-    bench.config.num_requests = 256;
-    let cases: &[(&str, f64, u32)] = &[("serve_poisson", 64.0, 16), ("serve_poisson", 256.0, 64)];
-    for &(name, rate, cap) in cases {
-        let point = ServePoint {
-            rate_per_s: rate,
-            batch_cap: cap,
-        };
-        let tokens = bench
-            .simulate(point)
-            .expect("load point runs")
-            .served_tokens;
-        record(
-            records,
-            9,
-            name,
-            &format!("n256 r{rate:.0} c{cap}"),
-            0,
-            0,
-            tokens,
-            || {
-                black_box(bench.simulate(point).unwrap());
-            },
-        );
-    }
-    bench.config.arrival = ArrivalKind::Bursty {
-        burst_factor: 8.0,
-        mean_burst: 6.0,
-    };
-    let point = ServePoint {
-        rate_per_s: 64.0,
-        batch_cap: 16,
-    };
-    let tokens = bench
-        .simulate(point)
-        .expect("load point runs")
-        .served_tokens;
-    record(
-        records,
-        9,
-        "serve_bursty",
-        "n256 r64 c16",
-        0,
-        0,
-        tokens,
-        || {
-            black_box(bench.simulate(point).unwrap());
-        },
-    );
-}
-
-/// The fleet scheduler's event loop as a benchmark target: wall-clock
-/// time to route, autoscale and drain a bursty trace across N replica
-/// batchers, with items/s = simulated generated tokens per wall second.
-/// One record per routing policy (same trace), plus a disaggregated +
-/// autoscaled configuration exercising the KV-handoff and cold-start
-/// paths.
-fn fleet_steps(records: &mut Vec<Record>) {
-    let point = ServePoint {
-        rate_per_s: 96.0,
-        batch_cap: 16,
-    };
-    for policy in RoutePolicy::ALL {
-        let mut bench = FleetBenchmark::new(SystemId::H100Jrdc).with_policy(policy);
-        bench.config.serve.num_requests = 256;
-        bench.config.serve.arrival = ArrivalKind::Bursty {
-            burst_factor: 8.0,
-            mean_burst: 6.0,
-        };
-        let tokens = bench
-            .simulate(point)
-            .expect("load point runs")
-            .served_tokens;
-        record(
-            records,
-            9,
-            &format!("fleet_{}", policy.tag().replace('-', "_")),
-            "n256 x4 r96 c16",
-            0,
-            0,
-            tokens,
-            || {
-                black_box(bench.simulate(point).unwrap());
-            },
-        );
-    }
-    let mut bench = FleetBenchmark::new(SystemId::H100Jrdc)
-        .with_replicas(2)
-        .disaggregated(true)
-        .with_autoscale(AutoscaleConfig::default());
-    bench.config.serve.num_requests = 256;
-    bench.config.serve.arrival = ArrivalKind::Bursty {
-        burst_factor: 8.0,
-        mean_burst: 6.0,
-    };
-    let tokens = bench
-        .simulate(point)
-        .expect("load point runs")
-        .served_tokens;
-    record(
-        records,
-        9,
-        "fleet_disagg_autoscale",
-        "n256 x2+ r96 c16",
-        0,
-        0,
-        tokens,
-        || {
-            black_box(bench.simulate(point).unwrap());
-        },
-    );
-}
-
-/// The sweep dispatch paths as benchmark targets: one full Fig. 4
-/// (device × batch) grid of full-measurement cells, run serially on the
-/// calling thread and sharded over a simulated 4-node Slurm partition.
-/// items/s = grid cells per wall second; the two records give the repo a
-/// tracked dispatch-overhead/speedup trajectory for the sharded path.
-fn sweep_steps(records: &mut Vec<Record>) {
-    let devices = [1u32, 2, 4, 8];
-    let points = grid(SystemId::H100Jrdc, &devices, &FIG4_BATCHES);
-    let cells = points.len() as u64;
-    let cell = |p: caraml::SweepPoint| {
-        let mut bench = ResnetBenchmark::fig3(p.system);
-        bench.devices = p.devices;
-        black_box(bench.run(p.batch).map(|r| r.fom.images_per_s).ok());
-    };
-    let shape = format!("resnet d{} x b{}", devices.len(), FIG4_BATCHES.len());
-    record(records, 9, "sweep_serial", &shape, 0, 0, cells, || {
-        black_box(SweepRunner::serial().map(points.clone(), cell));
-    });
-    let slurm = jube::SlurmSim::new(4);
-    record(records, 9, "sweep_sharded", &shape, 0, 0, cells, || {
-        black_box(
-            SweepRunner::parallel()
-                .map_sharded(&slurm, ShardPlan::new(4), points.clone(), cell)
-                .results,
-        );
-    });
-}
-
-/// Device-registry cold load: parse + validate + intern every embedded
-/// device TOML. items/s = device files per wall second; tracked so the
-/// data-driven registry path stays cheap as systems are added.
-fn registry_steps(records: &mut Vec<Record>) {
-    use caraml_accel::{DeviceRegistry, EMBEDDED_DEVICE_FILES};
-    let files = EMBEDDED_DEVICE_FILES.len() as u64;
-    record(
-        records,
-        25,
-        "registry_load",
-        &format!("{files} device files"),
-        0,
-        0,
-        files,
-        || {
-            black_box(DeviceRegistry::from_files(EMBEDDED_DEVICE_FILES).unwrap());
-        },
-    );
-}
-
 fn run_all(samples: usize) -> Report {
     let mut records = Vec::new();
     gemm_and_conv(&mut records, samples);
     elementwise_kernels(&mut records, samples);
     attention_records(&mut records, samples, "default");
     quant_kernels(&mut records, samples);
-    decode_steps(&mut records);
-    train_steps(&mut records);
-    serve_steps(&mut records);
-    fleet_steps(&mut records);
-    sweep_steps(&mut records);
-    registry_steps(&mut records);
     per_arm_kernels(&mut records, samples);
     Report {
-        schema: "caraml-bench-tensor-v5",
+        schema: "caraml-kernel-probes-v1",
         samples_per_kernel: samples,
         records,
     }
 }
 
-/// Find the committed median for a fresh record. Records are keyed by
-/// `(kernel, shape, arm)`; a committed record without an `arm` field
-/// (schema ≤ v2) matches only `default`-arm fresh records, so the
-/// pinned-arm sweep never aliases the pre-v3 baseline.
-fn committed_median(rec: &Record, committed: &serde_json::Value) -> Option<f64> {
-    let old_records = committed.get("records")?.as_array()?;
-    old_records.iter().find_map(|o| {
-        let kernel = o.get("kernel")?.as_str()?;
-        let shape = o.get("shape")?.as_str()?;
-        let arm = o.get("arm").and_then(|a| a.as_str()).unwrap_or("default");
-        if kernel == rec.kernel && shape == rec.shape && arm == rec.arm {
-            o.get("median_ms")?.as_f64()
-        } else {
-            None
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => {}
+        [flag, list] if flag == "--filter" && list.split(',').any(|n| !n.is_empty()) => {
+            let needles = list
+                .split(',')
+                .filter(|n| !n.is_empty())
+                .map(str::to_string)
+                .collect();
+            FILTER.set(needles).expect("filter set once");
         }
-    })
-}
-
-/// Fresh records with no committed baseline on the **same arm**. Records
-/// are only ever compared same-arm against the snapshot; before this
-/// existed a missing dual-arm baseline silently fell through `--check`
-/// as if the kernel had been verified.
-fn missing_baselines(fresh: &Report, committed: &serde_json::Value) -> Vec<String> {
-    fresh
-        .records
-        .iter()
-        .filter(|r| committed_median(r, committed).is_none())
-        .map(|r| format!("{} [{}] ({} arm)", r.kernel, r.shape, r.arm))
-        .collect()
-}
-
-/// Compare fresh medians against the committed snapshot; returns the
-/// regressions as `(kernel, shape, committed_ms, fresh_ms)`.
-fn regressions(fresh: &Report, committed: &serde_json::Value) -> Vec<(String, String, f64, f64)> {
-    let mut out = Vec::new();
-    for rec in &fresh.records {
-        if let Some(old_ms) = committed_median(rec, committed) {
-            if old_ms >= CHECK_MIN_MS && rec.median_ms > old_ms * CHECK_TOLERANCE {
-                out.push((rec.kernel.clone(), rec.shape.clone(), old_ms, rec.median_ms));
-            }
+        _ => {
+            eprintln!("usage: bench_json [--filter <substr>[,<substr>...]]");
+            return ExitCode::from(2);
         }
-    }
-    out
-}
-
-/// Render the fresh run against the committed snapshot as the markdown
-/// regression report committed to `docs/performance.md`.
-fn render_report(fresh: &Report, committed: &serde_json::Value) -> String {
-    use std::fmt::Write;
-    let mut md = String::new();
-    let _ = writeln!(md, "# Kernel performance report");
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "Generated by `just bench-report` (`bench_json --report`): fresh medians \
-         over {} samples per kernel, compared against the committed \
-         `BENCH_TENSOR.json` baseline. Speedup > 1 is faster than the baseline. \
-         See `DESIGN.md` §4g for the SIMD dispatch architecture these numbers \
-         track.",
-        fresh.samples_per_kernel
-    );
-    let _ = writeln!(md);
-
-    let _ = writeln!(md, "## Medians vs committed baseline");
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "| kernel | shape | arm | committed ms | current ms | speedup |"
-    );
-    let _ = writeln!(md, "|---|---|---|---:|---:|---:|");
-    let mut missing = 0usize;
-    for rec in &fresh.records {
-        match committed_median(rec, committed) {
-            Some(old_ms) => {
-                let _ = writeln!(
-                    md,
-                    "| {} | {} | {} | {:.3} | {:.3} | {:.2}x |",
-                    rec.kernel,
-                    rec.shape,
-                    rec.arm,
-                    old_ms,
-                    rec.median_ms,
-                    old_ms / rec.median_ms
-                );
-            }
-            None => missing += 1,
-        }
-    }
-    if missing > 0 {
-        let _ = writeln!(md);
-        let _ = writeln!(
-            md,
-            "{missing} fresh record(s) have no committed counterpart (new kernels \
-             or schema additions) and are omitted above."
-        );
-    }
-    let _ = writeln!(md);
-
-    let _ = writeln!(md, "## Scalar vs AVX2 arm");
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "Dual-arm kernels re-timed with the dispatcher pinned to each arm \
-         (`CARAML_SIMD=off` forces the scalar column at runtime). The arms \
-         are bit-identical in results — this table is the cost of that \
-         portability fallback."
-    );
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "| kernel | shape | scalar ms | avx2 ms | SIMD speedup |"
-    );
-    let _ = writeln!(md, "|---|---|---:|---:|---:|");
-    for rec in fresh.records.iter().filter(|r| r.arm == "scalar") {
-        if let Some(avx2) = fresh
-            .records
-            .iter()
-            .find(|r| r.arm == "avx2" && r.kernel == rec.kernel && r.shape == rec.shape)
-        {
-            let _ = writeln!(
-                md,
-                "| {} | {} | {:.3} | {:.3} | {:.2}x |",
-                rec.kernel,
-                rec.shape,
-                rec.median_ms,
-                avx2.median_ms,
-                rec.median_ms / avx2.median_ms
-            );
-        }
-    }
-    md
-}
-
-/// Append kernel medians to the shared `results.jsonl` history store as
-/// one new generation, keyed `bench/{kernel}/{shape}/median_ms` (the
-/// `_ms` suffix marks them lower-is-better for `caraml trend`). Used
-/// both for routine `--history` snapshots (scenario `bench-json`) and
-/// to record `--check` failures (scenario `bench-check`) so regressions
-/// land in the perf trajectory, not just the CI log.
-fn append_history(path: &std::path::Path, scenario: &str, records: &[&Record]) {
-    let history = match History::load_or_empty(path) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("bench_json: cannot read history {}: {e}", path.display());
-            return;
-        }
-    };
-    let generation = history.next_generation();
-    let label = default_label();
-    let mut out = Vec::with_capacity(records.len());
-    for rec in records {
-        let key = format!("bench/{}/{}/median_ms", rec.kernel, rec.shape);
-        match HistoryRecord::new(
-            generation,
-            label.clone(),
-            scenario,
-            rec.arm.clone(),
-            rec.precision.clone(),
-            key,
-            rec.median_ms,
-        ) {
-            Ok(r) => out.push(r),
-            Err(e) => eprintln!("bench_json: skipping history record: {e}"),
-        }
-    }
-    match History::append_to(path, &out) {
-        Ok(()) => println!(
-            "appended {} record(s) to {} as generation {generation} ({scenario})",
-            out.len(),
-            path.display()
-        ),
-        Err(e) => eprintln!("bench_json: cannot append history {}: {e}", path.display()),
-    }
-}
-
-fn load_committed() -> serde_json::Value {
-    let committed = std::fs::read_to_string("BENCH_TENSOR.json")
-        .expect("needs a committed BENCH_TENSOR.json (run `just bench-json` first)");
-    serde_json::parse(&committed).expect("parse committed BENCH_TENSOR.json")
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let want_report = args.iter().any(|a| a == "--report");
-    let history_path: Option<std::path::PathBuf> =
-        args.iter()
-            .position(|a| a == "--history")
-            .map(|i| match args.get(i + 1) {
-                Some(p) if !p.starts_with("--") => std::path::PathBuf::from(p),
-                _ => {
-                    eprintln!("bench_json: --history needs a path (e.g. --history results.jsonl)");
-                    std::process::exit(2);
-                }
-            });
-    if let Some(i) = args.iter().position(|a| a == "--filter") {
-        let needles: Vec<String> = args
-            .get(i + 1)
-            .map(|v| v.split(',').map(str::to_string).collect())
-            .unwrap_or_default();
-        if needles.iter().all(String::is_empty) {
-            eprintln!("bench_json: --filter needs a kernel substring (e.g. --filter gemm_i8)");
-            std::process::exit(2);
-        }
-        if want_report {
-            eprintln!("bench_json: --filter cannot be combined with --report (partial snapshot)");
-            std::process::exit(2);
-        }
-        FILTER.set(needles).expect("filter set once");
     }
     let report = run_all(15);
-    if want_report {
-        let committed = load_committed();
-        let md = render_report(&report, &committed);
-        std::fs::create_dir_all("docs").expect("create docs/");
-        std::fs::write("docs/performance.md", &md).expect("write docs/performance.md");
-        println!("\nwrote docs/performance.md");
-        return;
-    }
-    if check {
-        let committed = load_committed();
-        for missing in missing_baselines(&report, &committed) {
-            println!("warning: no committed same-arm baseline for {missing} — not compared");
-        }
-        let bad = regressions(&report, &committed);
-        if bad.is_empty() {
-            println!(
-                "\nbench-check OK: no kernel regressed beyond {:.0}%",
-                (CHECK_TOLERANCE - 1.0) * 100.0
-            );
-            if let Some(path) = &history_path {
-                let all: Vec<&Record> = report.records.iter().collect();
-                append_history(path, "bench-json", &all);
-            }
-            return;
-        }
-        println!("\nbench-check FAILED — regressions beyond +25%:");
-        for (kernel, shape, old_ms, new_ms) in &bad {
-            println!("  {kernel} [{shape}]: {old_ms:.3} ms -> {new_ms:.3} ms");
-        }
-        // Record the failure in the history store so the regression is
-        // part of the tracked trajectory, not just a transient CI log.
-        let path = history_path
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from("results.jsonl"));
-        let regressed: Vec<&Record> = report
-            .records
-            .iter()
-            .filter(|r| {
-                bad.iter()
-                    .any(|(kernel, shape, _, _)| *kernel == r.kernel && *shape == r.shape)
-            })
-            .collect();
-        append_history(&path, "bench-check", &regressed);
-        std::process::exit(1);
-    }
-    if FILTER.get().is_some() {
-        println!(
-            "\nfiltered run ({} record(s)); BENCH_TENSOR.json left untouched",
-            report.records.len()
-        );
-        return;
-    }
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write("BENCH_TENSOR.json", &json).expect("write BENCH_TENSOR.json");
-    println!("\nwrote BENCH_TENSOR.json");
-    if let Some(path) = &history_path {
-        let all: Vec<&Record> = report.records.iter().collect();
-        append_history(path, "bench-json", &all);
-    }
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&report).expect("serialise report")
+    );
+    ExitCode::SUCCESS
 }

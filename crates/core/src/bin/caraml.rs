@@ -13,18 +13,17 @@
 //! caraml serve H100 --bursty          # heavy-tailed arrival trace
 //! caraml fleet H100 --replicas 4 --policy all    # replica router sweep
 //! caraml fleet H100 --disagg --autoscale --json  # fleet FOMs as JSON
-//! caraml baseline record out.json --tag GH200
-//! caraml baseline compare out.json --tag GH200 [--tolerance 0.05]
 //! caraml scenario examples/scenario.toml            # declarative sweep
 //! caraml scenario examples/scenario.toml --check    # vs native twin
 //! caraml scenario examples/scenario.toml --history results.jsonl
 //! caraml trend --history results.jsonl [--json]     # trajectory report
+//! caraml trend --history results.jsonl --gate       # regression gate
 //! caraml devices [--json]            # device registry table
 //! caraml devices --check docs/DEVICES.md
 //! caraml calibrate trace.toml -o fitted.toml
 //! ```
 
-use caraml::continuous::{default_label, Baseline, History};
+use caraml::continuous::{default_label, History, Verdict};
 use caraml::fleet::{AutoscaleConfig, FleetBenchmark, RoutePolicy};
 use caraml::inference::InferenceBenchmark;
 use caraml::report::{
@@ -35,8 +34,7 @@ use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
 use caraml::scenario::{check_against_native, Scenario};
 use caraml::serve::{load_grid, ArrivalKind, ServeBenchmark};
 use caraml::suite::{
-    llm_benchmark_ipu, llm_benchmark_nvidia_amd, measure_baseline, resnet50_benchmark,
-    run_suite_sharded,
+    llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark, run_suite_sharded,
 };
 use caraml::sweep::{grid, ShardPlan};
 use caraml::trend::{analyze, TrendConfig};
@@ -58,7 +56,6 @@ fn usage() -> ExitCode {
          caraml serve <TAG> [--bursty] [--seed N] [--precision <P|all|p0,p1,...>]\n  \
          caraml fleet <TAG> [--replicas N] [--policy <P|all>] [--precision <P|all|p0,p1,...>]\n  \
          \x20            [--rate F] [--cap N] [--seed N] [--bursty] [--disagg] [--autoscale] [--json]\n  \
-         caraml baseline <record|compare> <file.json> --tag <TAG> [--tolerance F]\n  \
          caraml scenario <file.toml> [--check] [--json] [--history <path>] [--label <rev>]\n  \
          caraml trend [--history <path>] [--json] [--window N] [--gate [--tolerance F]]"
     );
@@ -109,15 +106,19 @@ fn split_tags(args: &[String]) -> (Vec<String>, Vec<String>) {
     }
 }
 
-/// Value of a `--flag <value>` pair, if present and parsable.
+/// Value of a `--flag <value>` pair: `None` when the flag is absent, an
+/// error when it has no value (the next token is another `--flag`) or the
+/// value does not parse.
 fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+        None => Err(format!("{name} needs a value")),
+        Some(v) => v
+            .parse()
             .map(Some)
-            .ok_or_else(|| format!("{name} needs a numeric value")),
-        None => Ok(None),
+            .map_err(|_| format!("{name}: invalid value `{v}`")),
     }
 }
 
@@ -650,6 +651,16 @@ fn run_scenario(args: &[String]) -> ExitCode {
     let Some(file) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage();
     };
+    let (history_path, label) = match (
+        flag_value::<String>(args, "--history"),
+        flag_value::<String>(args, "--label"),
+    ) {
+        (Ok(path), Ok(label)) => (path, label),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("caraml: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let scenario = match Scenario::load(Path::new(file)) {
         Ok(s) => s,
         Err(e) => {
@@ -708,11 +719,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
     } else if !args.iter().any(|a| a == "--check") {
         println!("{}", render_scenario_outcome(&outcome));
     }
-    if let Some(i) = args.iter().position(|a| a == "--history") {
-        let Some(path) = args.get(i + 1).filter(|a| !a.starts_with("--")) else {
-            eprintln!("caraml: --history needs a file path");
-            return ExitCode::from(2);
-        };
+    if let Some(path) = &history_path {
         let path = Path::new(path);
         let generation = match History::load_or_empty(path) {
             Ok(history) => history.next_generation(),
@@ -721,12 +728,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let label = args
-            .iter()
-            .position(|a| a == "--label")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(default_label);
+        let label = label.unwrap_or_else(default_label);
         let records = outcome.history_records(generation, &label, arm_label());
         match History::append_to(path, &records) {
             Ok(()) => println!(
@@ -746,15 +748,24 @@ fn run_scenario(args: &[String]) -> ExitCode {
 /// `caraml trend`: analyse the history store — rolling-median/MAD
 /// anomalies, step changes, sparklines — and render the report. With
 /// `--gate`, also run the direction-aware latest-vs-previous generation
-/// gate and exit nonzero on regression.
+/// gate and exit nonzero on a regressed or missing metric. A missing
+/// history renders as empty, but fails the gate: a mistyped path must
+/// not pass.
 fn run_trend(args: &[String]) -> ExitCode {
-    let history_path = args
-        .iter()
-        .position(|a| a == "--history")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results.jsonl".to_string());
-    let history = match History::load_or_empty(Path::new(&history_path)) {
+    let history_path = match flag_value::<String>(args, "--history") {
+        Ok(path) => path.unwrap_or_else(|| "results.jsonl".to_string()),
+        Err(e) => {
+            eprintln!("caraml: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let gate = args.iter().any(|a| a == "--gate");
+    let loaded = if gate {
+        History::load(Path::new(&history_path))
+    } else {
+        History::load_or_empty(Path::new(&history_path))
+    };
+    let history = match loaded {
         Ok(h) => h,
         Err(e) => {
             eprintln!("caraml: {e}");
@@ -786,9 +797,14 @@ fn run_trend(args: &[String]) -> ExitCode {
     } else {
         print!("{}", render_trend_report(&report));
     }
-    if args.iter().any(|a| a == "--gate") {
+    if gate {
         let tolerance = match flag_value::<f64>(args, "--tolerance") {
-            Ok(t) => t.unwrap_or(cfg.tolerance),
+            Ok(None) => cfg.tolerance,
+            Ok(Some(t)) if t.is_finite() && t >= 0.0 => t,
+            Ok(Some(t)) => {
+                eprintln!("caraml: --tolerance needs a finite value >= 0, got {t}");
+                return ExitCode::from(2);
+            }
             Err(e) => {
                 eprintln!("caraml: {e}");
                 return ExitCode::from(2);
@@ -801,65 +817,21 @@ fn run_trend(args: &[String]) -> ExitCode {
                 if gate.passed() {
                     println!("gate: PASS (tolerance ±{:.1}%)", tolerance * 100.0);
                 } else {
-                    println!("gate: FAIL — {} regression(s)", gate.regressions().len());
+                    let missing = gate
+                        .findings
+                        .iter()
+                        .filter(|f| f.change == Verdict::Missing)
+                        .count();
+                    println!(
+                        "gate: FAIL — {} regression(s), {missing} missing metric(s)",
+                        gate.regressions().len()
+                    );
                     return ExitCode::FAILURE;
                 }
             }
         }
     }
     ExitCode::SUCCESS
-}
-
-fn run_baseline(args: &[String]) -> ExitCode {
-    let (pos, rest) = split_tags(args);
-    if pos.len() < 2 {
-        return usage();
-    }
-    let (action, file) = (pos[0].as_str(), pos[1].as_str());
-    let tag = rest.first().map(String::as_str).unwrap_or("A100");
-    let tolerance = pos
-        .iter()
-        .position(|a| a == "--tolerance")
-        .and_then(|i| pos.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05);
-    let measured = match measure_baseline(tag) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match action {
-        "record" => match measured.save(std::path::Path::new(file)) {
-            Ok(()) => {
-                println!("recorded {} metrics to {file}", measured.metrics.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("caraml: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "compare" => match Baseline::load(std::path::Path::new(file)) {
-            Ok(base) => {
-                let report = base.compare(&measured, tolerance);
-                print!("{}", report.summary());
-                if report.passed() {
-                    println!("PASS (tolerance ±{:.1}%)", tolerance * 100.0);
-                    ExitCode::SUCCESS
-                } else {
-                    println!("FAIL: {} regression(s)", report.regressions().len());
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("caraml: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => usage(),
-    }
 }
 
 /// `caraml devices`: render the device registry as a table, dump it as
@@ -915,10 +887,16 @@ fn run_calibrate(args: &[String]) -> ExitCode {
     let Some(input_path) = args.first() else {
         return usage();
     };
-    let out_path = args
-        .iter()
-        .position(|a| a == "-o" || a == "--output")
-        .and_then(|i| args.get(i + 1));
+    let out_path = match (
+        flag_value::<String>(args, "-o"),
+        flag_value::<String>(args, "--output"),
+    ) {
+        (Ok(short), Ok(long)) => short.or(long),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("caraml: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let input = match std::fs::read_to_string(input_path) {
         Ok(text) => text,
         Err(e) => {
@@ -928,7 +906,7 @@ fn run_calibrate(args: &[String]) -> ExitCode {
     };
     match calibrate::calibrate_device_toml(&input) {
         Ok(toml) => match out_path {
-            Some(path) => match std::fs::write(path, &toml) {
+            Some(path) => match std::fs::write(&path, &toml) {
                 Ok(()) => {
                     println!("wrote calibrated device file to {path}");
                     ExitCode::SUCCESS
@@ -1007,7 +985,6 @@ fn main() -> ExitCode {
         Some("inference") if args.len() >= 2 => run_inference(&args[1]),
         Some("serve") if args.len() >= 2 => run_serve(&args[1], &args[2..]),
         Some("fleet") if args.len() >= 2 => run_fleet(&args[1], &args[2..]),
-        Some("baseline") => run_baseline(&args[1..]),
         Some("scenario") if args.len() >= 2 => run_scenario(&args[1..]),
         Some("trend") => run_trend(&args[1..]),
         _ => usage(),

@@ -1,26 +1,28 @@
 //! Continuous benchmarking — an implemented "future work" item.
 //!
 //! §VI: "we plan to further develop CARAML by incorporating continuous
-//! benchmarking capabilities". This module is the persistence and gating
-//! layer of that service:
+//! benchmarking capabilities". This module is the store and the gate of
+//! that service; `caraml scenario --history` appends to the store and
+//! `caraml trend --gate` runs the gate:
 //!
+//! * [`HistoryRecord`] / [`History`] — the append-only `results.jsonl`
+//!   store: one record per scenario × metric × run, labeled with the git
+//!   revision, SIMD arm and precision tier, giving the repo a queryable
+//!   perf trajectory (trend analysis lives in [`crate::trend`]);
 //! * [`Baseline`] — one run's figures of merit as a flat `key → value`
-//!   map, persisted as JSON and diffed against later runs;
+//!   map; [`History::gate`] compares the latest generation's against the
+//!   previous one's;
 //! * [`Direction`] — per-metric improvement direction. Latency and
 //!   energy metrics (`…/p99_ttft_s`, `…/wh_per_ktoken`) get *better* as
 //!   they go *down*; the gate classifies every movement relative to the
 //!   metric's direction, resolved from a key-suffix convention with an
-//!   explicit override map ([`Baseline::compare_with`]);
-//! * [`HistoryRecord`] / [`History`] — the append-only `results.jsonl`
-//!   store: one record per scenario × metric × run, labeled with the git
-//!   revision, SIMD arm and precision tier, giving the repo a queryable
-//!   perf trajectory (trend analysis lives in [`crate::trend`]).
+//!   explicit override map ([`Baseline::compare_with`]).
 //!
 //! Non-finite values are rejected at [`Baseline::record`] /
 //! [`HistoryRecord::new`] time with a typed [`ContinuousError`]: the
 //! JSON layer has no NaN/Inf representation (the vendored serde shim
 //! writes `null`, upstream serde_json errors), so a NaN metric would
-//! otherwise corrupt the baseline on the round trip and surface as a
+//! otherwise corrupt the store on the round trip and surface as a
 //! confusing parse failure one run later.
 
 use serde::{Deserialize, Serialize};
@@ -113,10 +115,10 @@ pub enum ContinuousError {
     /// A NaN/Inf metric was rejected before it could corrupt the JSON
     /// round trip.
     NonFinite { key: String, value: f64 },
-    /// Filesystem failure reading or writing a baseline/history file.
+    /// Filesystem failure reading or writing a history file.
     Io { path: String, msg: String },
-    /// Malformed JSON (baseline) or JSONL (history) content; `line` is
-    /// 1-based for history files, 0 for whole-document failures.
+    /// Malformed content; `line` is 1-based for history files, 0 for
+    /// whole-document failures.
     Parse { line: usize, msg: String },
     /// A history record carries an unsupported schema version.
     Schema { line: usize, found: u32 },
@@ -182,7 +184,7 @@ impl Baseline {
 
     /// Record one metric (replacing any previous value). Non-finite
     /// values are rejected: they have no JSON representation, so letting
-    /// one in would corrupt [`Baseline::to_json`]'s round trip.
+    /// one in would corrupt the history store's round trip.
     pub fn record(&mut self, key: impl Into<String>, value: f64) -> Result<(), ContinuousError> {
         let key = key.into();
         if !value.is_finite() {
@@ -249,51 +251,6 @@ impl Baseline {
         )?;
         self.record(format!("{prefix}/slo_attainment"), fom.slo_attainment)?;
         self.record(format!("{prefix}/wh_per_ktoken"), fom.energy_wh_per_ktoken)
-    }
-
-    /// Serialize to pretty JSON. Cannot fail: [`Baseline::record`]
-    /// guarantees every value is finite.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("baseline serializes")
-    }
-
-    /// Parse from JSON, re-validating that every metric is finite (a
-    /// hand-edited file could smuggle a `null` in).
-    pub fn from_json(text: &str) -> Result<Baseline, ContinuousError> {
-        let parsed: Baseline = serde_json::from_str(text).map_err(|e| ContinuousError::Parse {
-            line: 0,
-            msg: e.to_string(),
-        })?;
-        for (key, &value) in &parsed.metrics {
-            if !value.is_finite() {
-                return Err(ContinuousError::NonFinite {
-                    key: key.clone(),
-                    value,
-                });
-            }
-        }
-        Ok(parsed)
-    }
-
-    /// Persist to a file.
-    pub fn save(&self, path: &Path) -> Result<(), ContinuousError> {
-        let io_err = |e: std::io::Error| ContinuousError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        };
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(io_err)?;
-        }
-        std::fs::write(path, self.to_json()).map_err(io_err)
-    }
-
-    /// Load from a file.
-    pub fn load(path: &Path) -> Result<Baseline, ContinuousError> {
-        let text = std::fs::read_to_string(path).map_err(|e| ContinuousError::Io {
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
-        Self::from_json(&text)
     }
 
     /// Compare a new measurement set against this baseline. `tolerance`
@@ -482,8 +439,7 @@ pub struct HistoryRecord {
     /// Code-state label, e.g. the short git revision
     /// ([`default_label`]).
     pub label: String,
-    /// Producer name: the scenario that ran, or `bench-json` /
-    /// `bench-check` for kernel snapshots.
+    /// Producer name: the scenario that ran.
     pub scenario: String,
     /// SIMD dispatch arm the run executed on (`scalar` / `avx2`).
     pub arm: String,
@@ -846,22 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_and_file_persistence() {
-        let mut b = Baseline::new("rev-abc");
-        b.record("llm/GH200/tokens_per_s", 47505.0).unwrap();
-        let parsed = Baseline::from_json(&b.to_json()).unwrap();
-        assert_eq!(parsed, b);
-
-        let path = std::env::temp_dir()
-            .join(format!("caraml_baseline_{}", std::process::id()))
-            .join("baseline.json");
-        b.save(&path).unwrap();
-        let loaded = Baseline::load(&path).unwrap();
-        assert_eq!(loaded, b);
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
     fn non_finite_values_rejected_at_record_time() {
         let mut b = Baseline::new("nan");
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -869,10 +809,18 @@ mod tests {
             assert!(matches!(err, ContinuousError::NonFinite { .. }), "{err}");
         }
         assert!(b.metrics.is_empty(), "rejected values must not be stored");
-        // A hand-edited file with a smuggled null fails the re-parse
-        // instead of materialising a silent 0.0 or NaN.
-        let err = Baseline::from_json(r#"{"label":"x","metrics":{"m":null}}"#).unwrap_err();
-        assert!(matches!(err, ContinuousError::Parse { .. }), "{err:?}");
+        // A hand-edited history line with a smuggled null fails the
+        // re-parse instead of materialising a silent 0.0 or NaN.
+        let line = serde_json::to_string(
+            &HistoryRecord::new(0, "r", "s", "default", "-", "m", 1.5).unwrap(),
+        )
+        .unwrap();
+        assert!(line.contains("\"value\":1.5"), "{line}");
+        let err = History::from_jsonl(&line.replace("1.5", "null")).unwrap_err();
+        assert!(
+            matches!(err, ContinuousError::Parse { line: 1, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

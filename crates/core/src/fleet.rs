@@ -56,8 +56,9 @@ use std::sync::Arc;
 /// process but still fully determined by the config seed.
 const FLEET_ATTR_SEED_XOR: u64 = 0x5eed_f1ee;
 
-/// Per-step launch overhead, seconds — decode loops are CUDA-graph
-/// captured (same constant as the offline inference benchmark).
+/// Per-step launch overhead, seconds. Decode loops are CUDA-graph
+/// captured in production inference stacks, so the per-token overhead is
+/// far below the training path's kernel-by-kernel launches.
 const SERVE_LAUNCH_OVERHEAD_S: f64 = 5e-5;
 
 /// How the router picks a replica for each arriving request.
@@ -547,18 +548,26 @@ pub fn fleet_trace(cfg: &FleetConfig, rate_per_s: f64) -> Vec<FleetRequest> {
 // Simulation internals
 // ---------------------------------------------------------------------
 
-/// Cost model of one replica's batcher on its device.
-struct ServeCost {
+/// The serving roofline: prices prefill and decode steps of one model on
+/// one device. The fleet's replica batchers and the offline
+/// [`crate::inference`] benchmark both price through it.
+pub(crate) struct ServeCost {
     fwd_flops_per_token: f64,
-    weight_bytes: u64,
-    kv_bytes_per_token: f64,
+    /// Weight bytes at the selected precision.
+    pub(crate) weight_bytes: u64,
+    /// K and V bytes across all layers per cached token.
+    pub(crate) kv_bytes_per_token: f64,
     roofline: RooflineModel,
     mfu_max: f64,
     sustained_w: f64,
 }
 
 impl ServeCost {
-    fn new(spec: &DeviceSpec, model: &caraml_models::GptConfig, precision: Precision) -> Self {
+    pub(crate) fn new(
+        spec: &DeviceSpec,
+        model: &caraml_models::GptConfig,
+        precision: Precision,
+    ) -> Self {
         let cost = caraml_models::gpt::cost::GptCost::new(model.clone());
         let calib = spec.calib(SpecWorkload::Llm);
         ServeCost {
@@ -580,7 +589,7 @@ impl ServeCost {
 
     /// `(duration_s, utilization)` of a prefill over `tokens` prompt
     /// tokens (compute-bound, like a training forward pass).
-    fn prefill(&self, tokens: u64) -> (f64, f64) {
+    pub(crate) fn prefill(&self, tokens: u64) -> (f64, f64) {
         let profile = KernelProfile::new(
             self.fwd_flops_per_token * tokens as f64,
             self.weight_bytes as f64 * 2.0,
@@ -589,12 +598,14 @@ impl ServeCost {
         (est.time_s, (est.mfu / self.mfu_max).clamp(0.0, 1.0))
     }
 
-    /// `(duration_s, utilization)` of one decode step over `batch`
-    /// concurrent requests holding `kv_tokens` of cache total.
-    fn decode_step(&self, batch: u32, kv_tokens: u64) -> (f64, f64) {
+    /// `(duration_s, utilization, compute_bound)` of one decode step over
+    /// `batch` concurrent requests that together read `kv_read_bytes` of
+    /// KV cache. Every step re-reads all weights, so at small batch the
+    /// step is memory-bound.
+    pub(crate) fn decode_step(&self, batch: u32, kv_read_bytes: f64) -> (f64, f64, bool) {
         let profile = KernelProfile::new(
             self.fwd_flops_per_token * f64::from(batch),
-            self.weight_bytes as f64 + self.kv_bytes_per_token * kv_tokens as f64,
+            self.weight_bytes as f64 + kv_read_bytes,
         );
         let est = self.roofline.estimate(&profile, f64::from(batch));
         let u = if est.compute_bound {
@@ -602,7 +613,7 @@ impl ServeCost {
         } else {
             (est.compute_s / est.time_s).clamp(0.05, 1.0) * 0.7 + 0.2
         };
-        (est.time_s, u)
+        (est.time_s, u, est.compute_bound)
     }
 }
 
@@ -1022,7 +1033,10 @@ impl Replica {
         // One decode step over the whole running batch.
         self.pad_idle_to(now);
         let kv_tokens: u64 = self.running.iter().map(|r| r.kv_tokens).sum();
-        let (dt, u) = self.cost.decode_step(self.running.len() as u32, kv_tokens);
+        let (dt, u, _) = self.cost.decode_step(
+            self.running.len() as u32,
+            self.cost.kv_bytes_per_token * kv_tokens as f64,
+        );
         self.log
             .push(PhaseKind::Compute, "decode", dt, u, self.cost.sustained_w);
         self.decode_steps += 1;

@@ -11,16 +11,10 @@
 //! trade-off.
 
 use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
-use caraml_accel::spec::Workload;
+use crate::fleet::ServeCost;
 use caraml_accel::{AccelError, PhaseKind, Precision, SystemId};
-use caraml_models::gpt::cost::GptCost;
 use caraml_models::GptConfig;
 use serde::{Deserialize, Serialize};
-
-/// Per-step launch overhead during inference, seconds. Decode loops are
-/// CUDA-graph-captured in production inference stacks, so the per-token
-/// overhead is far below the training path's kernel-by-kernel launches.
-const INFERENCE_LAUNCH_OVERHEAD_S: f64 = 5e-5;
 
 /// Figures of merit of one inference measurement point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,12 +70,6 @@ impl InferenceBenchmark {
         self
     }
 
-    /// Bytes of KV cache per sequence position (K and V across all
-    /// layers at the selected precision).
-    fn kv_bytes_per_token(&self) -> f64 {
-        GptCost::new(self.model.clone()).kv_bytes_per_token(self.precision)
-    }
-
     /// Run with `batch` concurrent requests on one device.
     pub fn run(&self, batch: u32) -> Result<InferenceFom, AccelError> {
         engine::execute(&InferenceWorkload { bench: self, batch }).into_result()
@@ -123,11 +111,11 @@ impl engine::Workload for InferenceWorkload<'_> {
             ));
         }
         let spec = ctx.device(0).spec();
-        let cost = GptCost::new(bench.model.clone());
+        let cost = ServeCost::new(spec, &bench.model, bench.precision);
 
         // Weights + KV cache at the selected precision must fit.
-        let weight_bytes = cost.weight_bytes(bench.precision);
-        let kv_total = (bench.kv_bytes_per_token()
+        let weight_bytes = cost.weight_bytes;
+        let kv_total = (cost.kv_bytes_per_token
             * (bench.prompt_tokens + bench.generated_tokens) as f64
             * f64::from(batch)) as u64;
         if weight_bytes + kv_total > spec.mem_bytes {
@@ -139,50 +127,22 @@ impl engine::Workload for InferenceWorkload<'_> {
             });
         }
 
-        let calib = spec.calib(Workload::Llm);
-        let roofline = caraml_accel::RooflineModel::from_parts(
-            spec.peak_fp16_flops(),
-            spec.mem_bw_bytes_per_s(),
-            calib.mfu_max,
-            calib.batch_half,
-            INFERENCE_LAUNCH_OVERHEAD_S,
-        );
-        let fwd_flops = cost.forward_flops_per_token();
-
         // --- prefill: all prompt tokens of all requests, compute-bound
         // like a training forward pass. ---
         let prefill_tokens = bench.prompt_tokens * u64::from(batch);
-        let prefill_profile = caraml_accel::KernelProfile::new(
-            fwd_flops * prefill_tokens as f64,
-            weight_bytes as f64 * 2.0,
-        );
-        // Prefill sees a full sequence at once: batch for the MFU curve
-        // is the token parallelism available.
-        let prefill_est = roofline.estimate(&prefill_profile, prefill_tokens as f64);
-        let ttft = prefill_est.time_s;
+        let (ttft, u_prefill) = cost.prefill(prefill_tokens);
 
         // --- decode: one token per request per step; every step re-reads
         // all weights plus each request's KV cache. ---
         let steps = bench.generated_tokens;
-        let kv_read_per_step = bench.kv_bytes_per_token()
+        let kv_read_per_step = cost.kv_bytes_per_token
             * (bench.prompt_tokens + bench.generated_tokens / 2) as f64
             * f64::from(batch);
-        let decode_step_profile = caraml_accel::KernelProfile::new(
-            fwd_flops * f64::from(batch),
-            weight_bytes as f64 + kv_read_per_step,
-        );
-        let step_est = roofline.estimate(&decode_step_profile, f64::from(batch));
-        let t_decode = step_est.time_s * steps as f64;
+        let (step_s, u_decode, compute_bound) = cost.decode_step(batch, kv_read_per_step);
+        let t_decode = step_s * steps as f64;
         let decode_tokens_per_s = (steps * u64::from(batch)) as f64 / t_decode;
 
         // --- the power phases jpwr will measure ---
-        let u_prefill = (prefill_est.mfu / spec.llm.mfu_max).clamp(0.0, 1.0);
-        // Memory-bound decode keeps compute units underutilised.
-        let u_decode = if step_est.compute_bound {
-            (step_est.mfu / spec.llm.mfu_max).clamp(0.0, 1.0)
-        } else {
-            (step_est.compute_s / step_est.time_s).clamp(0.05, 1.0) * 0.7 + 0.2
-        };
         let total = ttft + t_decode;
 
         let phase_plan = PhasePlan {
@@ -219,7 +179,7 @@ impl engine::Workload for InferenceWorkload<'_> {
                 ttft,
                 decode_tokens_per_s,
                 prefill_tokens,
-                decode_memory_bound: !step_est.compute_bound,
+                decode_memory_bound: !compute_bound,
                 generated: (steps * u64::from(batch)) as f64,
             },
             phase_plan,

@@ -15,45 +15,13 @@
 //! as structured [`crate::engine::RunOutcome`] values before being
 //! stringified into the JUBE error column.
 
-use crate::continuous::Baseline;
 use crate::fleet::{FleetBenchmark, RoutePolicy};
 use crate::llm::{LlmBenchmark, FIG2_BATCHES, TABLE2_BATCHES};
 use crate::resnet::{ResnetBenchmark, FIG3_BATCHES};
 use crate::serve::{ArrivalKind, ServeBenchmark, ServePoint};
-use crate::sweep::SweepRunner;
 use caraml_accel::{DeviceKind, DeviceRegistry, SystemId};
 use jube::{Benchmark, JobRecord, JubeError, Parameter, ParameterSet, RunResult, SlurmSim, Step};
 use std::collections::BTreeMap;
-
-/// Run a quick ResNet sweep on one system and fold the figures of merit
-/// into a [`Baseline`] — the measurement half of `caraml baseline
-/// record/compare`. OOM batches are skipped, any other failure aborts.
-pub fn measure_baseline(tag: &str) -> Result<Baseline, String> {
-    let sys = SystemId::try_from_tag(tag).map_err(|e| e.to_string())?;
-    let mut baseline = Baseline::new(format!("caraml/{tag}"));
-    if sys == SystemId::Gc200 {
-        for batch in [64u64, 1024] {
-            let run = ResnetBenchmark::run_ipu(batch, 1.0).map_err(|e| e.to_string())?;
-            baseline
-                .record_cv(&format!("resnet50/{tag}/b{batch}"), &run.fom)
-                .map_err(|e| e.to_string())?;
-        }
-    } else {
-        let bench = ResnetBenchmark::fig3(sys);
-        let batches: Vec<u64> = FIG3_BATCHES.iter().step_by(3).copied().collect();
-        let runs = SweepRunner::parallel().map(batches.clone(), |batch| bench.run(batch));
-        for (batch, run) in batches.into_iter().zip(runs) {
-            match run {
-                Ok(run) => baseline
-                    .record_cv(&format!("resnet50/{tag}/b{batch}"), &run.fom)
-                    .map_err(|e| e.to_string())?,
-                Err(e) if e.is_oom() => {}
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-    }
-    Ok(baseline)
-}
 
 /// Tags accepted by the LLM and ResNet GPU benchmarks (Table I "JUBE
 /// Tag" row, minus the IPU), read from the device registry so systems

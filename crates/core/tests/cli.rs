@@ -117,68 +117,6 @@ fn heatmap_unknown_tag_fails() {
 }
 
 #[test]
-fn baseline_record_then_compare_passes() {
-    let file = std::env::temp_dir().join(format!("caraml_cli_base_{}.json", std::process::id()));
-    let out = caraml()
-        .args([
-            "baseline",
-            "record",
-            file.to_str().unwrap(),
-            "--tag",
-            "H100",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = caraml()
-        .args([
-            "baseline",
-            "compare",
-            file.to_str().unwrap(),
-            "--tag",
-            "H100",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
-    std::fs::remove_file(&file).ok();
-}
-
-#[test]
-fn baseline_compare_against_other_system_fails_gate() {
-    let file = std::env::temp_dir().join(format!("caraml_cli_xsys_{}.json", std::process::id()));
-    caraml()
-        .args([
-            "baseline",
-            "record",
-            file.to_str().unwrap(),
-            "--tag",
-            "GH200",
-        ])
-        .status()
-        .unwrap();
-    // Comparing A100 measurements against the GH200 baseline must fail
-    // (keys differ → missing metrics).
-    let out = caraml()
-        .args([
-            "baseline",
-            "compare",
-            file.to_str().unwrap(),
-            "--tag",
-            "A100",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    std::fs::remove_file(&file).ok();
-}
-
-#[test]
 fn inference_subcommand_runs() {
     let out = caraml().args(["inference", "GH200"]).output().unwrap();
     assert!(out.status.success());
@@ -454,6 +392,51 @@ fn scenario_history_feeds_trend_and_the_gate_catches_a_regression() {
     assert!(stdout.contains("gate: FAIL"), "stdout: {stdout}");
     assert!(stdout.contains("Regressed"), "stdout: {stdout}");
 
+    // Generation 3 restores generation 1's values but drops one metric:
+    // p99 TTFT improves, nothing regresses, and the gate must still fail
+    // on the metric that went missing.
+    let history = History::load(&jsonl).unwrap();
+    let dropped = history
+        .records
+        .iter()
+        .find(|r| r.generation == 1 && !r.key.ends_with("p99_ttft_s"))
+        .unwrap()
+        .key
+        .clone();
+    let restored: Vec<HistoryRecord> = history
+        .records
+        .iter()
+        .filter(|r| r.generation == 1 && r.key != dropped)
+        .map(|r| {
+            HistoryRecord::new(
+                3,
+                "gen-d",
+                &r.scenario,
+                &r.arm,
+                &r.precision,
+                &r.key,
+                r.value,
+            )
+            .unwrap()
+        })
+        .collect();
+    History::append_to(&jsonl, &restored).unwrap();
+
+    let out = caraml()
+        .args(["trend", "--history"])
+        .arg(&jsonl)
+        .arg("--gate")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("gate: FAIL — 0 regression(s), 1 missing metric(s)"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("Missing"), "stdout: {stdout}");
+    assert!(stdout.contains(&dropped), "stdout: {stdout}");
+
     std::fs::remove_file(&file).unwrap();
     std::fs::remove_file(&jsonl).unwrap();
 }
@@ -473,4 +456,100 @@ fn trend_on_a_missing_history_renders_an_empty_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("history is empty"));
+}
+
+#[test]
+fn trend_gate_on_a_missing_history_fails() {
+    let jsonl = cli_temp("absent-gate.jsonl");
+    let _ = std::fs::remove_file(&jsonl);
+    let out = caraml()
+        .args(["trend", "--history"])
+        .arg(&jsonl)
+        .arg("--gate")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("absent-gate.jsonl"), "stderr: {stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("gate: PASS"));
+}
+
+#[test]
+fn trend_history_without_a_value_exits_2() {
+    // A flag must not be read as the value of the flag before it: taking
+    // `--gate` as the history path loads an empty history and passes.
+    for args in [
+        &["trend", "--history"][..],
+        &["trend", "--history", "--gate"],
+    ] {
+        let out = caraml().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--history needs a value"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn trend_gate_rejects_a_negative_or_nan_tolerance() {
+    // Either would reach the gate's `tolerance >= 0` assertion and panic.
+    let history = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results.jsonl");
+    for tolerance in ["-1", "NaN"] {
+        let out = caraml()
+            .args([
+                "trend",
+                "--history",
+                history,
+                "--gate",
+                "--tolerance",
+                tolerance,
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{tolerance}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--tolerance needs a finite value"),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn scenario_label_without_a_value_exits_2() {
+    let file = cli_temp("label.toml");
+    let jsonl = cli_temp("label.jsonl");
+    std::fs::write(&file, CLI_SCENARIO).unwrap();
+    let _ = std::fs::remove_file(&jsonl);
+    for trailing in [&["--label"][..], &["--label", "--json"]] {
+        let out = caraml()
+            .args(["scenario"])
+            .arg(&file)
+            .arg("--history")
+            .arg(&jsonl)
+            .args(trailing)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{trailing:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--label needs a value"), "stderr: {stderr}");
+    }
+    assert!(!jsonl.exists(), "a rejected run must not append history");
+    std::fs::remove_file(&file).unwrap();
+}
+
+#[test]
+fn calibrate_output_without_a_value_exits_2() {
+    let device = concat!(env!("CARGO_MANIFEST_DIR"), "/../accel/devices/a100.toml");
+    for flag in ["-o", "--output"] {
+        let out = caraml().args(["calibrate", device, flag]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "stderr: {stderr}"
+        );
+    }
 }

@@ -257,8 +257,9 @@ fn fold_point(h: &mut Fnv1a, b: &ServeBenchmark, p: caraml::ServePoint) {
 
 /// Every committed serving configuration, folded into one FNV-1a-64
 /// constant: this file's grid, the `examples/scenario.toml` serve sweep,
-/// the suite's serving grid on each committed GPU system, and the
-/// `bench_json` serve cases. Unlike the run-against-itself tests above,
+/// the suite's serving grid on each committed GPU system, and three
+/// short 256-request traces (Poisson at 64 and 256 req/s, bursty at
+/// 64 req/s). Unlike the run-against-itself tests above,
 /// this pins absolute bits, so any change to the serving arithmetic has
 /// to name the configuration it moved and re-pin the constant.
 #[test]

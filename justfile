@@ -1,18 +1,15 @@
 # Developer task runner. Install `just`, or paste the recipes into a shell.
 
 # Full local gate: formatting, lints as errors on every target (tests
-# and benches included), the test suite, a compile check of every bench
-# target (they are not built by `cargo test` and otherwise rot
-# silently), the benchmark's own tests (they run every workload end to
-# end, so a kernel change that breaks a decode output check fails
-# here), and the tensor suite re-run with the SIMD dispatcher forced to
-# the scalar arm — the portability fallback must stay green, not just
-# compile.
+# included), the test suite, the benchmark's own tests (they run every
+# workload end to end, so a kernel change that breaks a decode output
+# check fails here), and the tensor suite re-run with the SIMD
+# dispatcher forced to the scalar arm — the portability fallback must
+# stay green, not just compile.
 verify:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
     cargo test -q
-    cargo bench --workspace --no-run
     cargo test --manifest-path perfbench/Cargo.toml
     just check-devices
     just check-scenario
@@ -54,10 +51,6 @@ figures:
     cargo run -p caraml-bench --bin table3_ipu_resnet
     cargo run -p caraml-bench --bin fig4_heatmaps
 
-# Serial-vs-parallel sweep wall-time comparison (criterion).
-sweep-bench:
-    cargo bench -p caraml-bench --bench sweep_runner
-
 # Serving slice: the serve and fleet unit tests, both scheduling
 # property suites (incl. the pinned 10⁵-request fleet acceptance
 # scenarios), and both determinism harnesses with the serve golden
@@ -91,32 +84,21 @@ test-sched:
 serve-demo tag="H100" *flags="":
     cargo run --release -p caraml --bin caraml -- serve {{tag}} {{flags}}
 
-# Regenerate BENCH_TENSOR.json: GFLOP/s of every hot tensor kernel
-# (GEMM variants, batched matmul, ResNet50-shaped convolutions), GB/s
-# of the fused non-GEMM kernel layer, and end-to-end GPT/ResNet
-# training-step throughput. The file is committed so the repo carries
-# its own perf trajectory.
+# Kernel throughput probes: GFLOP/s of the GEMM variants, batched
+# matmul and ResNet50-shaped convolutions, GB/s of the fused non-GEMM
+# kernel layer, fused attention, and the scalar-vs-AVX2 dual-arm sweep.
+# Prints a JSON report to stdout (progress on stderr) and writes no file;
+# end-to-end throughput and its regression bounds live in perfbench.
 bench-json:
     cargo run --release -p caraml-bench --bin bench_json
 
-# Quantized-tier slice of the kernel sweep: re-time just the int8
-# quantize/dequantize/GEMM kernels and the per-precision decode steps
-# (all three arms) without the full 15-sample sweep. Prints only — the
-# committed BENCH_TENSOR.json is left untouched.
+# Quantized-tier slice of the kernel probes: just the int8
+# quantize/dequantize/GEMM kernels, on every SIMD arm.
 bench-quant:
-    cargo run --release -p caraml-bench --bin bench_json -- --filter quantize,dequantize,gemm_i8,decode_step
+    cargo run --release -p caraml-bench --bin bench_json -- --filter quantize,dequantize,gemm_i8
 
-# Perf tripwire: re-time everything and fail if any kernel's median is
-# >25% slower than the committed BENCH_TENSOR.json (kernels faster than
-# 0.25 ms are exempt — pure jitter at that scale). Deliberately NOT part
-# of `just verify`/`just ci`: wall-clock medians on shared or throttled
-# boxes are too noisy for a merge gate; run it manually when touching
-# kernel code.
-bench-check:
-    cargo run --release -p caraml-bench --bin bench_json -- --check
-
-# Markdown regression report: re-time everything (including the pinned
-# scalar/avx2 dual-arm sweep) and render speedups against the committed
-# BENCH_TENSOR.json into docs/performance.md.
-bench-report:
-    cargo run --release -p caraml-bench --bin bench_json -- --report
+# Flake hunt: run the whole workspace suite `n` times and stop at the
+# first failing run. A test that fails only under some schedules fails
+# some runs, not all.
+flake n="10":
+    for i in $(seq 1 {{n}}); do echo "run $i of {{n}}"; cargo test --workspace -q || exit 1; done
