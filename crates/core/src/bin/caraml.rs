@@ -811,7 +811,12 @@ fn run_trend(args: &[String]) -> ExitCode {
             }
         };
         match history.gate(tolerance) {
-            None => println!("gate: fewer than two generations, nothing to compare"),
+            None => {
+                // A gate over a fresh, emptied or truncated store checks
+                // nothing, so it must not pass.
+                println!("gate: fewer than two generations, nothing to compare");
+                return ExitCode::FAILURE;
+            }
             Some(gate) => {
                 print!("{}", gate.summary());
                 if gate.passed() {

@@ -475,6 +475,38 @@ fn trend_gate_on_a_missing_history_fails() {
 }
 
 #[test]
+fn trend_gate_on_fewer_than_two_generations_fails() {
+    // An empty store, and a copy of the committed store cut to its first
+    // generation: neither has two generations to compare.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results.jsonl");
+    let first: String = std::fs::read_to_string(committed)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"generation\":0,"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(!first.is_empty());
+    for (name, body) in [("empty.jsonl", String::new()), ("one-gen.jsonl", first)] {
+        let jsonl = cli_temp(name);
+        std::fs::write(&jsonl, body).unwrap();
+        let out = caraml()
+            .args(["trend", "--history"])
+            .arg(&jsonl)
+            .arg("--gate")
+            .output()
+            .unwrap();
+        std::fs::remove_file(&jsonl).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("gate: fewer than two generations, nothing to compare"),
+            "{name}: {stdout}"
+        );
+        assert!(!stdout.contains("gate: PASS"), "{name}: {stdout}");
+    }
+}
+
+#[test]
 fn trend_history_without_a_value_exits_2() {
     // A flag must not be read as the value of the flag before it: taking
     // `--gate` as the history path loads an empty history and passes.

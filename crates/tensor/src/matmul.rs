@@ -25,11 +25,16 @@
 //!   each accumulator through the same fused-multiply-add sequence over
 //!   ascending `p`, so their results are bit-identical — the
 //!   dispatch-equivalence suite pins this.
-//! * **Parallelism over 2-D output tiles.** Work is split over `MC×NC`
-//!   output tiles (both dimensions), not flat row blocks, so square-ish
-//!   problems expose `⌈m/MC⌉·⌈n/NC⌉` tasks. Each output element is owned
-//!   by exactly one task and accumulated in a fixed k-order (KC blocks
-//!   ascending, `p` ascending inside each block), so results are
+//! * **Parallelism over 2-D output tiles.** Work is split over output
+//!   tiles of at most `MC×NC` (both dimensions), not flat row blocks,
+//!   with the longer output side cut into at least one tile per thread:
+//!   with `MC` alone, the tiny GPT's 128-row products split into a
+//!   120-row and an 8-row tile and a second thread barely helped (GPT
+//!   GEMMs ran 0.95–1.07x as fast on two threads as on one; balanced,
+//!   1.09–1.32x). Each output
+//!   element is owned by exactly one task and accumulated in a fixed
+//!   k-order (KC blocks ascending, `p` ascending inside each block), so
+//!   the tile geometry never changes a bit and results are
 //!   **bit-identical for every rayon thread count** — the property the
 //!   `thread_count_invariance` proptest pins down.
 //! * **Workspace reuse.** Packing panels are drawn from the global
@@ -60,8 +65,11 @@
 //! The parallel cut-over is not a hard-coded constant (the seed's
 //! `PAR_THRESHOLD` assumed a fixed machine): [`par_grain_flops`] asks
 //! rayon for the worker count and requires every worker to receive at
-//! least `PAR_MIN_FLOPS_PER_THREAD` of work, since below that the scoped
-//! spawn/join overhead exceeds the kernel time.
+//! least `PAR_MIN_FLOPS_PER_THREAD` of work. The rayon shim's workers
+//! are persistent: an empty parallel call costs about 0.4 µs, but a
+//! parked worker takes about 60 µs to wake and join (2-vCPU Xeon KVM
+//! guest), and the calling thread runs the job alone until then, so a
+//! task must outlast the wake-up for a second thread to pay.
 //!
 //! ## The m = 1 path
 //!
@@ -92,17 +100,17 @@
 //! * **Cut-over, in bytes.** A GEMV streams its matrix once at two FLOPs
 //!   per element, so [`gemv_split`] sizes rayon tasks by the bytes they
 //!   stream, not by [`par_grain_flops`]: one task per
-//!   `GEMV_MIN_TASK_BYTES` (2 MiB), at most one per worker, serial below
-//!   two tasks. The shim spawns scoped threads on every call (70–80 µs,
-//!   perfbench's `rayon.fanout_us`), which the second worker's bandwidth
-//!   must repay. On the host above, over a 256 MiB rotating set at
-//!   `k = 1024`, two workers took 2.5–3.2x the serial time at 0.25 MiB,
-//!   1.18–1.23x at 1 MiB, 0.96–1.09x at 2 MiB, 0.81–0.86x at 4 MiB and
-//!   0.72–0.74x at 16 MiB (f32, bf16, int8; medians of 15 alternating
-//!   rounds). A decode step at perfbench's decode shape (4 layers, hidden
-//!   1024, vocabulary 4096; 10 alternating rounds) took 22.6/13.7/8.0 ms
-//!   (f32/bf16/int8) serial and 17.2/12.1/8.1, 16.6/11.7/7.8 and
-//!   17.9/11.8/7.7 ms with a 1, 2 and 4 MiB task floor.
+//!   `GEMV_MIN_TASK_BYTES` (512 KiB), at most one per worker, serial
+//!   below two tasks. A task only has to outlast a parked worker's
+//!   wake-up (about 60 µs, roughly 512 KiB of streaming). In perfbench's
+//!   `decode` workload (4 layers, hidden 1024, vocabulary 4096; 2-vCPU
+//!   Xeon KVM guest, AVX2 arm; 6 s runs alternating between floors, six
+//!   each for 2 MiB and 512 KiB, three each for 256 KiB and 4 MiB) a
+//!   2 MiB floor decoded 100–106/141–155/249–285 tokens/s
+//!   (f32/bf16/int8), 512 KiB 98–111/168–187/293–325 and 256 KiB
+//!   103–114/179–187/310–323; 4 MiB lost a fifth of the int8 rate. The
+//!   512 KiB floor splits the 1024×1024 attention projections in bf16
+//!   and int8, which a 2 MiB floor leaves on one thread.
 //!
 //! The int8 engine in [`crate::quant`] has the same path with exact i32
 //! accumulation, so its m = 1 results equal the packed engine's bits.
@@ -131,8 +139,9 @@ pub const NC: usize = 512;
 const SMALL_GEMM_FLOPS: usize = 16 * 16 * 16;
 
 /// Minimum multiply-adds per rayon worker before the parallel path is
-/// worth its spawn/join overhead (measured ≈ tens of µs on the scoped
-/// pool, i.e. ~10⁵ FLOPs of kernel time).
+/// worth a worker's wake-up (about 60 µs, the time of ~10⁶ multiply-adds
+/// here). Re-measured with persistent workers: 2¹⁸–2²² moved neither
+/// the tiny GPT's nor the tiny ResNet's train step beyond host noise.
 const PAR_MIN_FLOPS_PER_THREAD: usize = 1 << 19;
 
 /// Total multiply-add count above which the 2-D tile loop runs on rayon.
@@ -527,7 +536,7 @@ pub fn gemm_bf16_nt_ws(
 // ---------- the packed-panel engine ----------
 
 /// Disjoint-tile write handle: each parallel task writes only the C rows
-/// and columns of its own `MC×NC` tile, so aliasing is impossible.
+/// and columns of its own tile, so aliasing is impossible.
 #[derive(Clone, Copy)]
 struct TileWriter(*mut f32);
 unsafe impl Send for TileWriter {}
@@ -574,28 +583,35 @@ fn gemm_strided<TB: PackElem>(
             gemm_direct::<false, _>(a, la, b, lb, c, m, k, n)
         };
     }
-    let n_it = m.div_ceil(MC);
-    let n_jt = n.div_ceil(NC);
-    let tiles = n_it * n_jt;
-    let par_tiles = allow_parallel
-        && tiles > 1
-        && rayon::current_num_threads() > 1
-        && m * n * k >= par_grain_flops();
+    let threads = rayon::current_num_threads();
+    let parallel = allow_parallel && threads > 1 && m * n * k >= par_grain_flops();
+    // Parallel tiles are at most MC×NC and cut so the longer output side
+    // spreads over `threads` tiles: MC alone would split a 128-row
+    // product into a 120-row and an 8-row tile. Each task packs its own
+    // rows of A and columns of B, so cutting along n repeats only A's
+    // packing, and along m only B's; the shorter side is the one repeated.
+    let (tm, tn) = if !parallel {
+        (MC, NC)
+    } else if n >= m {
+        (MC, n.div_ceil(threads).next_multiple_of(NR).min(NC))
+    } else {
+        (m.div_ceil(threads).next_multiple_of(MR).min(MC), NC)
+    };
+    let tiles_n = n.div_ceil(tn);
+    let tiles = m.div_ceil(tm) * tiles_n;
+    let par_tiles = parallel && tiles > 1;
     // Panel prepacking parallelises over strips when the tile loop itself
-    // is serial but the problem is parallel-worthy (few big tiles); when
+    // is serial but the problem is parallel-worthy (one output tile); when
     // the tile loop is already parallel the workers are busy and nested
     // packing parallelism would only add stealing overhead.
-    let par_pack = allow_parallel
-        && !par_tiles
-        && rayon::current_num_threads() > 1
-        && m * n * k >= par_grain_flops();
+    let par_pack = parallel && !par_tiles;
     let writer = TileWriter(c.as_mut_ptr());
     let task = |t: usize| {
-        let (it, jt) = (t / n_jt, t % n_jt);
-        let i0 = it * MC;
-        let j0 = jt * NC;
-        let mc = MC.min(m - i0);
-        let nc = NC.min(n - j0);
+        let (it, jt) = (t / tiles_n, t % tiles_n);
+        let i0 = it * tm;
+        let j0 = jt * tn;
+        let mc = tm.min(m - i0);
+        let nc = tn.min(n - j0);
         compute_tile(
             a, la, b, lb, writer, n, k, i0, mc, j0, nc, ws, arm, fma, par_pack,
         );
@@ -613,14 +629,14 @@ fn gemm_strided<TB: PackElem>(
         let kc_max = KC.min(k);
         let mut a_pack = ws.take_zeroed(MC.min(m).div_ceil(MR) * MR * kc_max);
         let mut b_pack = ws.take_zeroed(NC.min(n).div_ceil(NR) * NR * kc_max);
-        for jt in 0..n_jt {
+        for jt in 0..n.div_ceil(NC) {
             let j0 = jt * NC;
             let nc = NC.min(n - j0);
             let mut p0 = 0;
             while p0 < k {
                 let kc = KC.min(k - p0);
                 pack_b(b, lb, j0, nc, p0, kc, &mut b_pack, par_pack);
-                for it in 0..n_it {
+                for it in 0..m.div_ceil(MC) {
                     let i0 = it * MC;
                     let mc = MC.min(m - i0);
                     pack_a(a, la, i0, mc, p0, kc, &mut a_pack, par_pack);
@@ -949,10 +965,9 @@ pub(crate) const GEMV_ROWS: usize = 4;
 /// Least number of weight bytes worth a rayon task of its own in the
 /// m = 1 paths. A decode GEMV streams its matrix once and does two FLOPs
 /// per element, so the cut-over is set in bytes streamed, not in FLOPs
-/// ([`par_grain_flops`]). The shim spawns scoped threads on every call
-/// (tens of µs), which must be repaid by the bandwidth the second worker
-/// adds; see the module docs for the measurement.
-const GEMV_MIN_TASK_BYTES: usize = 2 << 20;
+/// ([`par_grain_flops`]). A task must outlast a parked worker's wake-up
+/// (about 60 µs); see the module docs for the measurement.
+const GEMV_MIN_TASK_BYTES: usize = 512 << 10;
 
 /// Output rows per rayon task for an m = 1 product over `n` rows of
 /// `row_bytes` bytes each, or `None` when the product should run on the

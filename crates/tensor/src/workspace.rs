@@ -32,9 +32,22 @@
 //! * `take_zeroed` is zero-filled; `take_raw` has `len == 0` and must be
 //!   fully written before use. Never assume residual contents.
 //! * Buffers shorter than [`MIN_POOLED_LEN`] elements bypass the pool
-//!   (the mutex round-trip costs more than a small malloc), and each
-//!   bucket is capacity-bounded: when full, incoming buffers are simply
-//!   dropped, so memory use stays bounded no matter how many tensors die.
+//!   (the mutex round-trip costs more than a small malloc).
+//!
+//! ## Demand bound
+//!
+//! The drop hook hands the pool every tensor buffer, including buffers
+//! the pool never lent: a data loader's `Vec::with_capacity(n * chw)`,
+//! an image built outside the pool. Their capacities are rarely powers
+//! of two, so they land in classes whose takes never ask for them, and a
+//! class that only ever receives would fill up step after step. Each
+//! class therefore counts the buffers taken from it (popped, or freshly
+//! allocated at its capacity) and not yet given back, and keeps an
+//! incoming buffer only while that count is positive: a foreign buffer
+//! is kept only in place of one still out, and a class never holds more
+//! buffers than it has handed out at once. On top of that, each class
+//! keeps at most its byte budget (`max_per_class`); excess gives are
+//! dropped, so memory use stays bounded no matter how many tensors die.
 //!
 //! All methods are thread-safe; rayon workers share the same pool. The
 //! [`WorkspaceStats`] counters let tests assert steady-state behaviour:
@@ -91,13 +104,85 @@ pub struct WorkspaceStats {
     pub reuses: u64,
 }
 
+/// One size class: its pooled buffers, and how many buffers taken from
+/// it are still out.
+struct Class<T> {
+    free: Vec<Vec<T>>,
+    /// Buffers taken from this class (popped, or freshly allocated at its
+    /// capacity) and not yet given back; the class keeps a given buffer
+    /// only while this is positive.
+    lent: usize,
+}
+
+/// The size classes of one element type.
+struct Classes<T>([Mutex<Class<T>>; NUM_BUCKETS]);
+
+impl<T> Classes<T> {
+    fn new() -> Self {
+        Classes(std::array::from_fn(|_| {
+            Mutex::new(Class {
+                free: Vec::new(),
+                lent: 0,
+            })
+        }))
+    }
+
+    /// Pop a buffer with capacity `>= cap` (`cap >= MIN_POOLED_LEN`). A
+    /// buffer in class k has capacity in `[2^k, 2^(k+1))`, so the smallest
+    /// class sure to fit is that of `cap` rounded up; probe it and the one
+    /// above (the second catches buffers a class larger without scanning
+    /// the whole pool). On a miss, the fresh allocation the caller makes
+    /// at the rounded-up capacity counts as lent from that class.
+    fn pop(&self, cap: usize) -> Option<Vec<T>> {
+        let start = class_of(cap.next_power_of_two());
+        for k in start..(start + 2).min(NUM_BUCKETS) {
+            let mut class = self.lock(k);
+            if let Some(mut buf) = class.free.pop() {
+                class.lent += 1;
+                debug_assert!(buf.capacity() >= cap);
+                buf.clear();
+                return Some(buf);
+            }
+        }
+        self.lock(start).lent += 1;
+        None
+    }
+
+    /// Keep `buf` if its class has buffers out and room in its budget.
+    fn give(&self, buf: Vec<T>) {
+        let cap = buf.capacity();
+        if cap < MIN_POOLED_LEN {
+            return;
+        }
+        let k = class_of(cap);
+        let mut class = self.lock(k);
+        if class.lent > 0 {
+            class.lent -= 1;
+            if class.free.len() < max_per_class(k) {
+                class.free.push(buf);
+            }
+        }
+    }
+
+    fn pooled(&self) -> usize {
+        (0..NUM_BUCKETS).map(|k| self.lock(k).free.len()).sum()
+    }
+
+    fn lock(&self, k: usize) -> std::sync::MutexGuard<'_, Class<T>> {
+        // A panic while holding the lock cannot corrupt a class (a push,
+        // a pop or a counter step); keep the pool usable rather than
+        // poisoning every later kernel.
+        self.0[k].lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// A bounded pool of reusable `f32` buffers in power-of-two size classes,
 /// plus a parallel `i8` pool for the quantized GEMM packing panels
 /// (`crate::quant` packs one-byte operands; recycling them through the
 /// f32 buckets would waste 4x the capacity accounting).
 pub struct Workspace {
-    buckets: [Mutex<Vec<Vec<f32>>>; NUM_BUCKETS],
-    byte_buckets: [Mutex<Vec<Vec<i8>>>; NUM_BUCKETS],
+    floats: Classes<f32>,
+    bytes: Classes<i8>,
     allocations: AtomicU64,
     reuses: AtomicU64,
 }
@@ -111,8 +196,8 @@ impl Default for Workspace {
 impl Workspace {
     pub fn new() -> Self {
         Workspace {
-            buckets: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            byte_buckets: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            floats: Classes::new(),
+            bytes: Classes::new(),
             allocations: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
         }
@@ -122,27 +207,7 @@ impl Workspace {
     /// matching size class, fresh power-of-two allocation otherwise). The
     /// caller must write every element it reads.
     pub fn take_raw(&self, cap: usize) -> Vec<f32> {
-        if cap >= MIN_POOLED_LEN {
-            // A buffer in bucket k has capacity in [2^k, 2^(k+1)), so the
-            // smallest class guaranteed to fit `cap` is class_of(rounded-up
-            // cap). Probe that class and one above it: one probe is the
-            // common (exact-size-class) case, the second catches buffers a
-            // class larger without scanning the whole pool.
-            let want = cap.next_power_of_two();
-            let start = class_of(want);
-            for k in start..(start + 2).min(NUM_BUCKETS) {
-                let buf = self.lock(k).pop();
-                if let Some(mut buf) = buf {
-                    debug_assert!(buf.capacity() >= cap);
-                    buf.clear();
-                    self.reuses.fetch_add(1, Ordering::Relaxed);
-                    return buf;
-                }
-            }
-            self.allocations.fetch_add(1, Ordering::Relaxed);
-            return Vec::with_capacity(want);
-        }
-        Vec::with_capacity(cap)
+        self.take(&self.floats, cap)
     }
 
     /// Take a buffer of exactly `len` zero-filled elements.
@@ -159,18 +224,10 @@ impl Workspace {
         buf
     }
 
-    /// Return a buffer to the pool (dropped if too small or its size class
-    /// is full).
+    /// Return a buffer to the pool (dropped if too small, if its size
+    /// class has no buffer out, or if the class is full).
     pub fn give(&self, buf: Vec<f32>) {
-        let cap = buf.capacity();
-        if cap < MIN_POOLED_LEN {
-            return;
-        }
-        let class = class_of(cap);
-        let mut bucket = self.lock(class);
-        if bucket.len() < max_per_class(class) {
-            bucket.push(buf);
-        }
+        self.floats.give(buf);
     }
 
     /// Take a zero-filled `i8` buffer of exactly `len` elements from the
@@ -178,41 +235,30 @@ impl Workspace {
     /// size-class discipline as [`Workspace::take_raw`] applies; byte
     /// buffers shorter than [`MIN_POOLED_LEN`] bypass the pool.
     pub fn take_bytes_zeroed(&self, len: usize) -> Vec<i8> {
-        let mut buf = if len >= MIN_POOLED_LEN {
-            let want = len.next_power_of_two();
-            let start = class_of(want);
-            let mut found = None;
-            for k in start..(start + 2).min(NUM_BUCKETS) {
-                if let Some(mut buf) = self.lock_bytes(k).pop() {
-                    debug_assert!(buf.capacity() >= len);
-                    buf.clear();
-                    self.reuses.fetch_add(1, Ordering::Relaxed);
-                    found = Some(buf);
-                    break;
-                }
-            }
-            found.unwrap_or_else(|| {
-                self.allocations.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(want)
-            })
-        } else {
-            Vec::with_capacity(len)
-        };
+        let mut buf = self.take(&self.bytes, len);
         buf.resize(len, 0);
         buf
     }
 
-    /// Return an `i8` buffer to the byte pool (dropped if too small or
-    /// its size class is full).
+    /// Return an `i8` buffer to the byte pool, under the same rules as
+    /// [`Workspace::give`].
     pub fn give_bytes(&self, buf: Vec<i8>) {
-        let cap = buf.capacity();
+        self.bytes.give(buf);
+    }
+
+    fn take<T>(&self, classes: &Classes<T>, cap: usize) -> Vec<T> {
         if cap < MIN_POOLED_LEN {
-            return;
+            return Vec::with_capacity(cap);
         }
-        let class = class_of(cap);
-        let mut bucket = self.lock_bytes(class);
-        if bucket.len() < max_per_class(class) {
-            bucket.push(buf);
+        match classes.pop(cap) {
+            Some(buf) => {
+                self.reuses.fetch_add(1, Ordering::Relaxed);
+                buf
+            }
+            None => {
+                self.allocations.fetch_add(1, Ordering::Relaxed);
+                Vec::with_capacity(cap.next_power_of_two())
+            }
         }
     }
 
@@ -224,21 +270,9 @@ impl Workspace {
         }
     }
 
-    /// Number of buffers currently pooled across all size classes.
+    /// Number of `f32` buffers currently pooled across all size classes.
     pub fn pooled(&self) -> usize {
-        (0..NUM_BUCKETS).map(|k| self.lock(k).len()).sum()
-    }
-
-    fn lock(&self, k: usize) -> std::sync::MutexGuard<'_, Vec<Vec<f32>>> {
-        // A panic while holding the lock cannot corrupt a Vec<Vec<f32>>;
-        // keep the pool usable rather than poisoning every later kernel.
-        self.buckets[k].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_bytes(&self, k: usize) -> std::sync::MutexGuard<'_, Vec<Vec<i8>>> {
-        self.byte_buckets[k]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        self.floats.pooled()
     }
 }
 
@@ -348,9 +382,37 @@ mod tests {
     #[test]
     fn zeroed_take_clears_residual_data() {
         let ws = Workspace::new();
-        ws.give(vec![7.0; 256]);
+        let mut dirty = ws.take_raw(256);
+        dirty.resize(256, 7.0);
+        let ptr = dirty.as_ptr();
+        ws.give(dirty);
         let buf = ws.take_zeroed(200);
+        assert_eq!(buf.as_ptr(), ptr, "the dirty buffer is reused");
         assert!(buf.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn buffers_the_pool_never_lent_are_not_kept() {
+        // A loader's batch: capacity 3072, allocated outside the pool.
+        let ws = Workspace::new();
+        ws.give(vec![1.0; 3072]);
+        ws.give_bytes(vec![1i8; 3072]);
+        assert_eq!(ws.pooled(), 0);
+        assert_eq!(ws.take_bytes_zeroed(3072).capacity(), 4096, "fresh");
+    }
+
+    #[test]
+    fn a_class_keeps_at_most_the_buffers_lent_from_it() {
+        let ws = Workspace::new();
+        let (a, b) = (ws.take_raw(1024), ws.take_raw(1024));
+        // A foreign buffer of the same class stands in for one still out...
+        ws.give(Vec::with_capacity(1024));
+        ws.give(a);
+        // ...so once both are back, the class holds two, not three.
+        ws.give(b);
+        assert_eq!(ws.pooled(), 2);
+        let _ = (ws.take_raw(1024), ws.take_raw(1024));
+        assert_eq!(ws.stats().allocations, 2, "both takes reused");
     }
 
     #[test]
@@ -369,7 +431,9 @@ mod tests {
     #[test]
     fn byte_pool_take_give_reuses_capacity() {
         let ws = Workspace::new();
-        ws.give_bytes(vec![7i8; 256]);
+        let mut dirty = ws.take_bytes_zeroed(256);
+        dirty.fill(7);
+        ws.give_bytes(dirty);
         let buf = ws.take_bytes_zeroed(200);
         assert_eq!(buf.len(), 200);
         assert!(buf.iter().all(|&v| v == 0), "residual bytes must be zeroed");
@@ -377,6 +441,7 @@ mod tests {
         ws.give_bytes(buf);
         let again = ws.take_bytes_zeroed(200);
         assert_eq!(again.as_ptr(), ptr, "pooled byte buffer must be reused");
+        assert_eq!(ws.stats().allocations, 1);
         // Tiny byte buffers bypass the pool like tiny f32 buffers.
         ws.give_bytes(vec![0i8; 8]);
         assert_eq!(ws.take_bytes_zeroed(8).capacity(), 8);

@@ -37,7 +37,8 @@ check-scenario:
 trend *flags="":
     cargo run -q --release -p caraml --bin caraml -- trend --history results.jsonl {{flags}}
 
-# Tier-1 check used by CI: release build + quiet tests.
+# Tier-1 check used by CI: release build + quiet tests, both over every
+# workspace member.
 ci:
     cargo build --release
     cargo test -q
@@ -56,8 +57,10 @@ figures:
 # scenarios), and both determinism harnesses with the serve golden
 # checksum — the latter re-run with the SIMD dispatcher forced off,
 # since the serving FOM bits must not depend on the dispatch arm.
-# `cargo test -q` builds only the root package, so `verify` calls this
-# recipe to gate them. The SlurmSim coverage lives in `test-sched`.
+# `cargo test -q` already runs every workspace member's tests (the root
+# manifest's `default-members` lists them all); `verify` calls this
+# recipe for the SIMD-off re-run. The SlurmSim coverage lives in
+# `test-sched`.
 test-serving:
     cargo test -p caraml --lib serve -q
     cargo test -p caraml --lib fleet -q
