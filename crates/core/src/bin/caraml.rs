@@ -24,26 +24,40 @@
 //! ```
 
 use caraml::continuous::{default_label, History, Verdict};
-use caraml::fleet::{AutoscaleConfig, FleetBenchmark, RoutePolicy};
-use caraml::inference::InferenceBenchmark;
+use caraml::fleet::RoutePolicy;
 use caraml::report::{
     render_device_table, render_fleet_table, render_heatmap, render_precision_table,
     render_scenario_outcome, render_serve_table, render_shard_table, render_trend_report,
 };
-use caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
-use caraml::scenario::{check_against_native, Scenario};
+use caraml::resnet::{fig4_devices, ResnetBenchmark, FIG4_BATCHES};
+use caraml::scenario::{
+    check_against_native, CellFom, Scenario, SweepSpec, WorkloadKind, BURSTY, DEFAULT_SEED,
+};
 use caraml::serve::{load_grid, ArrivalKind, ServeBenchmark};
 use caraml::suite::{
     llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark, run_suite_sharded,
 };
 use caraml::sweep::{grid, ShardPlan};
 use caraml::trend::{analyze, TrendConfig};
-use caraml::SweepRunner;
+use caraml::{FleetFom, RunOutcome, ServeFom, SweepRunner};
 use caraml_accel::{calibrate, DeviceKind, DeviceRegistry, NodeConfig, Precision, SystemId};
 use caraml_tensor::simd;
 use jube::SlurmSim;
 use std::path::Path;
 use std::process::ExitCode;
+
+/// `caraml inference`'s device batches.
+const INFERENCE_BATCHES: [u64; 4] = [1, 4, 16, 64];
+/// `caraml serve`'s load grid: arrival rates (requests/s) × batch caps.
+const SERVE_RATES: [f64; 4] = [2.0, 8.0, 32.0, 128.0];
+const SERVE_CAPS: [u32; 3] = [4, 16, 64];
+/// The one load point of the precision comparison table.
+const PRECISION_RATE: f64 = 32.0;
+const PRECISION_CAP: u32 = 64;
+/// `caraml fleet` defaults: replicas, rate (requests/s) and batch cap.
+const FLEET_REPLICAS: u32 = 4;
+const FLEET_RATE: f64 = 96.0;
+const FLEET_CAP: u32 = 16;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -148,34 +162,173 @@ fn precision_options(args: &[String]) -> Result<Option<Vec<Precision>>, String> 
     }
 }
 
-/// Run one representative serving load point per precision tier and
-/// render the energy-per-precision comparison table (Wh/ktoken per tier,
-/// ratios against the widest precision).
-fn render_precision_sweep(
+/// Check lowered sweeps with the scenario file's range rules and wrap
+/// them into a scenario named after the command.
+fn checked(command: &str, sweeps: Vec<SweepSpec>) -> Result<Scenario, String> {
+    for spec in &sweeps {
+        spec.check(command).map_err(|e| e.to_string())?;
+    }
+    Ok(Scenario {
+        name: command.to_string(),
+        seed: DEFAULT_SEED,
+        sweeps,
+    })
+}
+
+fn arrival_option(flags: &[String]) -> ArrivalKind {
+    if flags.iter().any(|f| f == "--bursty") {
+        BURSTY
+    } else {
+        ArrivalKind::Poisson
+    }
+}
+
+fn arrival_label(arrival: ArrivalKind) -> &'static str {
+    match arrival {
+        ArrivalKind::Poisson => "Poisson",
+        ArrivalKind::Bursty { .. } => "bursty",
+    }
+}
+
+fn platform(sys: SystemId) -> String {
+    NodeConfig::shared(sys).platform.clone()
+}
+
+/// The precision comparison: one serving load point per tier.
+fn precision_sweep(
     sys: SystemId,
-    base: &ServeBenchmark,
-    precisions: &[Precision],
-) -> String {
-    let point = load_grid(&[32.0], &[64])[0];
-    let foms: Vec<_> = precisions
-        .iter()
-        .filter_map(|&p| {
-            let mut bench = ServeBenchmark::new(sys).with_precision(p);
-            bench.config.arrival = base.config.arrival;
-            bench.config.seed = base.config.seed;
-            bench.run(point).ok()
-        })
+    precisions: Vec<Precision>,
+    arrival: ArrivalKind,
+    seed: Option<u64>,
+) -> SweepSpec {
+    SweepSpec {
+        systems: vec![sys],
+        precisions,
+        rates: vec![PRECISION_RATE],
+        caps: vec![PRECISION_CAP],
+        arrival,
+        seed,
+        ..SweepSpec::new(WorkloadKind::Serve)
+    }
+}
+
+/// `caraml inference <TAG>`: the batch axis at the default tier.
+fn lower_inference(tag: &str) -> Result<Scenario, String> {
+    let sys = SystemId::try_from_tag(tag).map_err(|e| e.to_string())?;
+    checked(
+        "inference",
+        vec![SweepSpec {
+            systems: vec![sys],
+            batches: INFERENCE_BATCHES.to_vec(),
+            ..SweepSpec::new(WorkloadKind::Inference)
+        }],
+    )
+}
+
+/// `caraml serve <TAG> [flags]`: the load grid at one tier; when
+/// `--precision` names several tiers, the grid stays at the default tier
+/// and a precision comparison sweep follows.
+fn lower_serve(tag: &str, flags: &[String]) -> Result<Scenario, String> {
+    let sys = SystemId::try_from_tag(tag).map_err(|e| e.to_string())?;
+    let precisions = precision_options(flags)?.unwrap_or_default();
+    let seed = flag_value(flags, "--seed")?;
+    let arrival = arrival_option(flags);
+    let grid = SweepSpec {
+        systems: vec![sys],
+        precisions: if precisions.len() == 1 {
+            precisions.clone()
+        } else {
+            Vec::new()
+        },
+        rates: SERVE_RATES.to_vec(),
+        caps: SERVE_CAPS.to_vec(),
+        arrival,
+        seed,
+        ..SweepSpec::new(WorkloadKind::Serve)
+    };
+    let mut sweeps = vec![grid];
+    if precisions.len() > 1 {
+        sweeps.push(precision_sweep(sys, precisions, arrival, seed));
+    }
+    checked("serve", sweeps)
+}
+
+/// `caraml fleet <TAG> [flags]`: every routing policy (or the one
+/// `--policy` names) at one load point. One `--precision` tier puts every
+/// replica at it; several form the per-replica ladder.
+fn lower_fleet(tag: &str, flags: &[String]) -> Result<Scenario, String> {
+    let sys = SystemId::try_from_tag(tag).map_err(|e| e.to_string())?;
+    let policies = policy_options(flags)?;
+    let mut precisions = precision_options(flags)?.unwrap_or_default();
+    let replica_precisions = if precisions.len() > 1 {
+        std::mem::take(&mut precisions)
+    } else {
+        Vec::new()
+    };
+    let spec = SweepSpec {
+        systems: vec![sys],
+        precisions,
+        replica_precisions,
+        policies,
+        replicas: flag_value(flags, "--replicas")?.unwrap_or(FLEET_REPLICAS),
+        rates: vec![flag_value(flags, "--rate")?.unwrap_or(FLEET_RATE)],
+        caps: vec![flag_value(flags, "--cap")?.unwrap_or(FLEET_CAP)],
+        seed: flag_value(flags, "--seed")?,
+        arrival: arrival_option(flags),
+        disagg: flags.iter().any(|f| f == "--disagg"),
+        autoscale: flags.iter().any(|f| f == "--autoscale"),
+        ..SweepSpec::new(WorkloadKind::Fleet)
+    };
+    checked("fleet", vec![spec])
+}
+
+/// Run a lowered scenario: each sweep's typed cell outcomes.
+fn cell_outcomes(scenario: &Scenario) -> Vec<Vec<RunOutcome<CellFom>>> {
+    scenario
+        .execute(SweepRunner::parallel())
+        .into_iter()
+        .map(|cells| cells.into_iter().map(|(_, outcome)| outcome).collect())
+        .collect()
+}
+
+fn serve_fom(fom: CellFom) -> ServeFom {
+    match fom {
+        CellFom::Serve(fom) => fom,
+        other => unreachable!("a serve sweep yielded {other:?}"),
+    }
+}
+
+fn fleet_fom(fom: CellFom) -> FleetFom {
+    match fom {
+        CellFom::Fleet(fom) => fom,
+        other => unreachable!("a fleet sweep yielded {other:?}"),
+    }
+}
+
+/// Render a precision comparison sweep: Wh/ktoken per tier and ratios
+/// against the widest; tiers whose cell failed are left out.
+fn precision_table(spec: &SweepSpec, seed: u64, cells: Vec<RunOutcome<CellFom>>) -> String {
+    let foms: Vec<ServeFom> = cells
+        .into_iter()
+        .filter_map(RunOutcome::completed)
+        .map(serve_fom)
         .collect();
     render_precision_table(
         &format!(
             "precision sweep on {} (rate {:.0}/s, cap {}, seed {})",
-            NodeConfig::shared(sys).platform,
-            point.rate_per_s,
-            point.batch_cap,
-            base.config.seed
+            platform(spec.systems[0]),
+            spec.rates[0],
+            spec.caps[0],
+            spec.seed.unwrap_or(seed)
         ),
         &foms,
     )
+}
+
+/// Print a flag error and exit 2.
+fn flag_error(e: String) -> ExitCode {
+    eprintln!("caraml: {e}");
+    ExitCode::from(2)
 }
 
 /// `--shards N [--nodes M]` dispatch options: M defaults to N, so each
@@ -354,8 +507,16 @@ fn run_full_suite(
         if is_ipu {
             println!("caraml suite {tag}: precision sweep skipped (no IPU serving path)");
         } else {
-            let base = ServeBenchmark::new(sys);
-            println!("{}", render_precision_sweep(sys, &base, &precisions));
+            let sweep = precision_sweep(sys, precisions, ArrivalKind::Poisson, None);
+            let scenario = match checked("suite", vec![sweep]) {
+                Ok(scenario) => scenario,
+                Err(e) => return flag_error(e),
+            };
+            let cells = cell_outcomes(&scenario).swap_remove(0);
+            println!(
+                "{}",
+                precision_table(&scenario.sweeps[0], scenario.seed, cells)
+            );
         }
     }
     ExitCode::SUCCESS
@@ -370,16 +531,9 @@ fn run_heatmap(
         Ok(sys) => sys,
         Err(code) => return code,
     };
-    let node = NodeConfig::shared(sys);
-    let max_dev = (node.devices_per_node * node.max_nodes.min(2)).max(1);
-    let mut devices = Vec::new();
-    let mut d = 1u32;
-    while d <= max_dev {
-        devices.push(d);
-        d *= 2;
-    }
-    let title = format!("ResNet50 images/s on {}", node.platform);
-    let cells = match shard_opts {
+    let devices = fig4_devices(sys);
+    let title = format!("ResNet50 images/s on {}", platform(sys));
+    let rows = match shard_opts {
         Some((shards, nodes)) => {
             // Multi-node dispatch: shard the Fig. 4 grid over a simulated
             // partition, node demand taken from each point's device count.
@@ -394,20 +548,17 @@ fn run_heatmap(
                 "{}",
                 render_shard_table(
                     &format!("shard dispatch ({nodes}-node partition)"),
-                    &sharded.shards,
-                    None
+                    &sharded.shards
                 )
             );
-            sharded.results
+            sharded
+                .results
+                .chunks(FIG4_BATCHES.len())
+                .map(<[caraml::fom::HeatmapCell]>::to_vec)
+                .collect()
         }
-        None => SweepRunner::parallel().map(grid(sys, &devices, &FIG4_BATCHES), |p| {
-            ResnetBenchmark::heatmap_cell(p.system, p.devices, p.batch)
-        }),
+        None => ResnetBenchmark::heatmap(sys, &devices, &FIG4_BATCHES),
     };
-    let rows: Vec<Vec<_>> = cells
-        .chunks(FIG4_BATCHES.len())
-        .map(<[caraml::fom::HeatmapCell]>::to_vec)
-        .collect();
     println!("{}", render_heatmap(&title, &devices, &FIG4_BATCHES, &rows));
     // Precision axis: a KV-admission heatmap per tier — peak concurrently
     // decoding sequences over a rate × cap grid, showing int8 KV raising
@@ -444,20 +595,14 @@ fn run_heatmap(
     ExitCode::SUCCESS
 }
 
-fn run_inference(tag: &str) -> ExitCode {
-    let sys = match resolve_tag(tag) {
-        Ok(sys) => sys,
-        Err(code) => return code,
-    };
-    let bench = InferenceBenchmark::new(sys);
-    println!(
-        "LLM inference on {} (800M GPT):",
-        NodeConfig::shared(sys).platform
-    );
-    let lines =
-        SweepRunner::parallel().map(vec![1u32, 4, 16, 64], |batch| match bench.run(batch) {
-            Ok(fom) => {
-                format!(
+fn run_inference(scenario: &Scenario) -> ExitCode {
+    let spec = &scenario.sweeps[0];
+    println!("LLM inference on {} (800M GPT):", platform(spec.systems[0]));
+    let cells = cell_outcomes(scenario).swap_remove(0);
+    for (batch, outcome) in spec.batches.iter().zip(cells) {
+        match outcome.into_result() {
+            Ok(CellFom::Inference(fom)) => {
+                println!(
                 "  batch {batch:>3}: TTFT {:>7.1} ms | decode {:>8.0} tok/s ({}) | {:.4} Wh/ktoken",
                 fom.ttft_s * 1e3,
                 fom.decode_tokens_per_s,
@@ -465,68 +610,40 @@ fn run_inference(tag: &str) -> ExitCode {
                 fom.energy_wh_per_ktoken
             )
             }
-            Err(e) => format!("  batch {batch:>3}: {e}"),
-        });
-    for line in lines {
-        println!("{line}");
+            Ok(other) => unreachable!("an inference sweep yielded {other:?}"),
+            Err(e) => println!("  batch {batch:>3}: {e}"),
+        }
     }
     ExitCode::SUCCESS
 }
 
-fn run_serve(tag: &str, flags: &[String]) -> ExitCode {
-    let sys = match resolve_tag(tag) {
-        Ok(sys) => sys,
-        Err(code) => return code,
-    };
-    let precisions = match precision_options(flags) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut bench = ServeBenchmark::new(sys);
-    if let Some(precisions) = &precisions {
-        if precisions.len() == 1 {
-            bench = bench.with_precision(precisions[0]);
-        }
-    }
-    if flags.iter().any(|f| f == "--bursty") {
-        bench.config.arrival = ArrivalKind::Bursty {
-            burst_factor: 8.0,
-            mean_burst: 6.0,
-        };
-    }
-    if let Some(i) = flags.iter().position(|f| f == "--seed") {
-        match flags.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(seed) => bench.config.seed = seed,
-            None => return usage(),
-        }
-    }
-    let grid = load_grid(&[2.0, 8.0, 32.0, 128.0], &[4, 16, 64]);
-    let outcomes = bench.sweep(SweepRunner::parallel(), grid);
-    let arrival = match bench.config.arrival {
-        ArrivalKind::Poisson => "Poisson".to_string(),
-        ArrivalKind::Bursty { .. } => "bursty".to_string(),
-    };
+fn run_serve(scenario: &Scenario) -> ExitCode {
+    let grid = &scenario.sweeps[0];
+    let sys = grid.systems[0];
+    let bench = grid.serve_bench(sys, grid.precisions.first().copied(), scenario.seed);
+    let mut sweeps = cell_outcomes(scenario).into_iter();
+    let outcomes: Vec<RunOutcome<ServeFom>> = sweeps
+        .next()
+        .unwrap_or_default()
+        .into_iter()
+        .map(|outcome| outcome.map(serve_fom))
+        .collect();
     println!(
         "{}",
         render_serve_table(
             &format!(
                 "LLM serving on {} (800M GPT, {}, {} requests, {} arrivals, seed {})",
-                NodeConfig::shared(sys).platform,
+                platform(sys),
                 bench.config.precision.tag(),
                 bench.config.num_requests,
-                arrival,
+                arrival_label(bench.config.arrival),
                 bench.config.seed
             ),
             &outcomes
         )
     );
-    if let Some(precisions) = precisions {
-        if precisions.len() > 1 {
-            println!("{}", render_precision_sweep(sys, &bench, &precisions));
-        }
+    if let (Some(spec), Some(cells)) = (scenario.sweeps.get(1), sweeps.next()) {
+        println!("{}", precision_table(spec, scenario.seed, cells));
     }
     ExitCode::SUCCESS
 }
@@ -550,66 +667,15 @@ fn policy_options(args: &[String]) -> Result<Vec<RoutePolicy>, String> {
     }
 }
 
-fn run_fleet(tag: &str, flags: &[String]) -> ExitCode {
-    let sys = match resolve_tag(tag) {
-        Ok(sys) => sys,
-        Err(code) => return code,
-    };
-    let (policies, precisions, replicas, rate, cap, seed) = match (
-        policy_options(flags),
-        precision_options(flags),
-        flag_value::<u32>(flags, "--replicas"),
-        flag_value::<f64>(flags, "--rate"),
-        flag_value::<u32>(flags, "--cap"),
-        flag_value::<u64>(flags, "--seed"),
-    ) {
-        (Ok(po), Ok(pr), Ok(re), Ok(ra), Ok(ca), Ok(se)) => (po, pr, re, ra, ca, se),
-        (Err(e), ..)
-        | (_, Err(e), ..)
-        | (_, _, Err(e), ..)
-        | (_, _, _, Err(e), ..)
-        | (_, _, _, _, Err(e), _)
-        | (.., Err(e)) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let replicas = replicas.unwrap_or(4);
-    if replicas == 0 {
-        eprintln!("caraml: --replicas needs at least one replica");
-        return ExitCode::from(2);
-    }
-    let mut bench = FleetBenchmark::new(sys)
-        .with_replicas(replicas)
-        .disaggregated(flags.iter().any(|f| f == "--disagg"));
-    if flags.iter().any(|f| f == "--autoscale") {
-        bench = bench.with_autoscale(AutoscaleConfig {
-            min_replicas: replicas.min(AutoscaleConfig::default().max_replicas),
-            max_replicas: replicas.max(AutoscaleConfig::default().max_replicas),
-            ..AutoscaleConfig::default()
-        });
-    }
-    match precisions {
-        Some(ps) if ps.len() == 1 => bench = bench.with_precision(ps[0]),
-        Some(ps) => bench.config.replica_precisions = Some(ps),
-        None => {}
-    }
-    if flags.iter().any(|f| f == "--bursty") {
-        bench.config.serve.arrival = ArrivalKind::Bursty {
-            burst_factor: 8.0,
-            mean_burst: 6.0,
-        };
-    }
-    if let Some(seed) = seed {
-        bench.config.serve.seed = seed;
-    }
-    let point = load_grid(&[rate.unwrap_or(96.0)], &[cap.unwrap_or(16)])[0];
-    let outcomes = bench.sweep_policies(SweepRunner::parallel(), point, policies);
-    if flags.iter().any(|f| f == "--json") {
-        let foms: Vec<_> = outcomes
-            .iter()
-            .filter_map(|o| o.as_completed().cloned())
-            .collect();
+fn run_fleet(scenario: &Scenario, json: bool) -> ExitCode {
+    let spec = &scenario.sweeps[0];
+    let outcomes: Vec<RunOutcome<FleetFom>> = cell_outcomes(scenario)
+        .swap_remove(0)
+        .into_iter()
+        .map(|outcome| outcome.map(fleet_fom))
+        .collect();
+    if json {
+        let foms: Vec<_> = outcomes.iter().filter_map(|o| o.as_completed()).collect();
         match serde_json::to_string_pretty(&foms) {
             Ok(json) => {
                 println!("{json}");
@@ -621,21 +687,17 @@ fn run_fleet(tag: &str, flags: &[String]) -> ExitCode {
             }
         }
     } else {
-        let arrival = match bench.config.serve.arrival {
-            ArrivalKind::Poisson => "Poisson".to_string(),
-            ArrivalKind::Bursty { .. } => "bursty".to_string(),
-        };
         println!(
             "{}",
             render_fleet_table(
                 &format!(
                     "LLM fleet serving on {} ({} replicas, rate {:.0}/s, cap {}, {} arrivals, seed {})",
-                    NodeConfig::shared(sys).platform,
-                    replicas,
-                    point.rate_per_s,
-                    point.batch_cap,
-                    arrival,
-                    bench.config.serve.seed
+                    platform(spec.systems[0]),
+                    spec.replicas,
+                    spec.rates[0],
+                    spec.caps[0],
+                    arrival_label(spec.arrival),
+                    spec.seed.unwrap_or(scenario.seed)
                 ),
                 &outcomes
             )
@@ -651,15 +713,9 @@ fn run_scenario(args: &[String]) -> ExitCode {
     let Some(file) = args.first().filter(|a| !a.starts_with("--")) else {
         return usage();
     };
-    let (history_path, label) = match (
-        flag_value::<String>(args, "--history"),
-        flag_value::<String>(args, "--label"),
-    ) {
-        (Ok(path), Ok(label)) => (path, label),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
+    let (history_path, label) = match scenario_options(&args[1..]) {
+        Ok(options) => options,
+        Err(e) => return flag_error(e),
     };
     let scenario = match Scenario::load(Path::new(file)) {
         Ok(s) => s,
@@ -745,6 +801,45 @@ fn run_scenario(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `caraml scenario` flags: the `--history` store and its `--label`.
+fn scenario_options(flags: &[String]) -> Result<(Option<String>, Option<String>), String> {
+    Ok((
+        flag_value(flags, "--history")?,
+        flag_value(flags, "--label")?,
+    ))
+}
+
+/// `caraml trend` flags, all checked before the history is read.
+#[derive(Debug)]
+struct TrendOptions {
+    history: String,
+    json: bool,
+    gate: bool,
+    window: usize,
+    tolerance: f64,
+}
+
+fn trend_options(flags: &[String]) -> Result<TrendOptions, String> {
+    let defaults = TrendConfig::default();
+    let window = flag_value::<usize>(flags, "--window")?.unwrap_or(defaults.window);
+    if window < 2 {
+        return Err("--window needs at least 2 points".to_string());
+    }
+    let tolerance = flag_value::<f64>(flags, "--tolerance")?.unwrap_or(defaults.tolerance);
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(format!(
+            "--tolerance needs a finite value >= 0, got {tolerance}"
+        ));
+    }
+    Ok(TrendOptions {
+        history: flag_value(flags, "--history")?.unwrap_or_else(|| "results.jsonl".to_string()),
+        json: flags.iter().any(|a| a == "--json"),
+        gate: flags.iter().any(|a| a == "--gate"),
+        window,
+        tolerance,
+    })
+}
+
 /// `caraml trend`: analyse the history store — rolling-median/MAD
 /// anomalies, step changes, sparklines — and render the report. With
 /// `--gate`, also run the direction-aware latest-vs-previous generation
@@ -752,18 +847,15 @@ fn run_scenario(args: &[String]) -> ExitCode {
 /// history renders as empty, but fails the gate: a mistyped path must
 /// not pass.
 fn run_trend(args: &[String]) -> ExitCode {
-    let history_path = match flag_value::<String>(args, "--history") {
-        Ok(path) => path.unwrap_or_else(|| "results.jsonl".to_string()),
-        Err(e) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
+    let options = match trend_options(args) {
+        Ok(options) => options,
+        Err(e) => return flag_error(e),
     };
-    let gate = args.iter().any(|a| a == "--gate");
-    let loaded = if gate {
-        History::load(Path::new(&history_path))
+    let path = Path::new(&options.history);
+    let loaded = if options.gate {
+        History::load(path)
     } else {
-        History::load_or_empty(Path::new(&history_path))
+        History::load_or_empty(path)
     };
     let history = match loaded {
         Ok(h) => h,
@@ -772,21 +864,12 @@ fn run_trend(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut cfg = TrendConfig::default();
-    match flag_value::<usize>(args, "--window") {
-        Ok(Some(w)) if w >= 2 => cfg.window = w,
-        Ok(Some(_)) => {
-            eprintln!("caraml: --window needs at least 2 points");
-            return ExitCode::from(2);
-        }
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
-    }
+    let cfg = TrendConfig {
+        window: options.window,
+        ..TrendConfig::default()
+    };
     let report = analyze(&history, &cfg);
-    if args.iter().any(|a| a == "--json") {
+    if options.json {
         match serde_json::to_string_pretty(&report) {
             Ok(json) => println!("{json}"),
             Err(e) => {
@@ -797,19 +880,8 @@ fn run_trend(args: &[String]) -> ExitCode {
     } else {
         print!("{}", render_trend_report(&report));
     }
-    if gate {
-        let tolerance = match flag_value::<f64>(args, "--tolerance") {
-            Ok(None) => cfg.tolerance,
-            Ok(Some(t)) if t.is_finite() && t >= 0.0 => t,
-            Ok(Some(t)) => {
-                eprintln!("caraml: --tolerance needs a finite value >= 0, got {t}");
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!("caraml: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    if options.gate {
+        let tolerance = options.tolerance;
         match history.gate(tolerance) {
             None => {
                 // A gate over a fresh, emptied or truncated store checks
@@ -885,6 +957,11 @@ fn run_devices(flags: &[String]) -> ExitCode {
     }
 }
 
+/// `caraml calibrate` flags: the `-o`/`--output` path, if any.
+fn calibrate_output(args: &[String]) -> Result<Option<String>, String> {
+    Ok(flag_value(args, "-o")?.or(flag_value(args, "--output")?))
+}
+
 /// `caraml calibrate <trace.toml> [-o out.toml]`: fit roofline and power
 /// parameters from the measured sample traces embedded in a device file
 /// and emit a registry-loadable TOML with the fitted calibration.
@@ -892,15 +969,9 @@ fn run_calibrate(args: &[String]) -> ExitCode {
     let Some(input_path) = args.first() else {
         return usage();
     };
-    let out_path = match (
-        flag_value::<String>(args, "-o"),
-        flag_value::<String>(args, "--output"),
-    ) {
-        (Ok(short), Ok(long)) => short.or(long),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("caraml: {e}");
-            return ExitCode::from(2);
-        }
+    let out_path = match calibrate_output(args) {
+        Ok(path) => path,
+        Err(e) => return flag_error(e),
     };
     let input = match std::fs::read_to_string(input_path) {
         Ok(text) => text,
@@ -987,9 +1058,16 @@ fn main() -> ExitCode {
         }
         Some("devices") => run_devices(&args[1..]),
         Some("calibrate") if args.len() >= 2 => run_calibrate(&args[1..]),
-        Some("inference") if args.len() >= 2 => run_inference(&args[1]),
-        Some("serve") if args.len() >= 2 => run_serve(&args[1], &args[2..]),
-        Some("fleet") if args.len() >= 2 => run_fleet(&args[1], &args[2..]),
+        Some("inference") if args.len() >= 2 => {
+            lower_inference(&args[1]).map_or_else(flag_error, |s| run_inference(&s))
+        }
+        Some("serve") if args.len() >= 2 => {
+            lower_serve(&args[1], &args[2..]).map_or_else(flag_error, |s| run_serve(&s))
+        }
+        Some("fleet") if args.len() >= 2 => {
+            let json = args.iter().any(|a| a == "--json");
+            lower_fleet(&args[1], &args[2..]).map_or_else(flag_error, |s| run_fleet(&s, json))
+        }
         Some("scenario") if args.len() >= 2 => run_scenario(&args[1..]),
         Some("trend") => run_trend(&args[1..]),
         _ => usage(),
@@ -999,9 +1077,219 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caraml::scenario::MAX_REPLICAS;
+    use proptest::prelude::*;
 
     fn argv(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Real flags, and values that are negative, zero, non-finite, past
+    /// `u32::MAX`, empty, or another flag.
+    const WORDS: &[&str] = &[
+        "--replicas",
+        "--policy",
+        "--precision",
+        "--rate",
+        "--cap",
+        "--seed",
+        "--bursty",
+        "--disagg",
+        "--autoscale",
+        "--json",
+        "--tag",
+        "--shards",
+        "--nodes",
+        "--history",
+        "--label",
+        "--check",
+        "--gate",
+        "--window",
+        "--tolerance",
+        "-o",
+        "--output",
+        "-5",
+        "0",
+        "1",
+        "2",
+        "4097",
+        "NaN",
+        "inf",
+        "-inf",
+        "4294967295",
+        "4294967296",
+        "1e12",
+        "",
+        "--",
+        "abc",
+        "all",
+        "int8",
+        "f32,bf16",
+        "fp8",
+        "least-kv-load",
+        "H100",
+    ];
+    const TAGS: &[&str] = &["H100", "GC200", "EDGERV", "NOPE", "", "--rate"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Flag handling never panics and runs no cell: every call
+        /// returns `Ok` or an error message, and a scenario lowered `Ok`
+        /// passes the scenario file's range rules.
+        #[test]
+        fn flag_handling_returns_ok_or_an_error_for_any_argument_list(
+            tag in prop::sample::select(TAGS),
+            words in prop::collection::vec(prop::sample::select(WORDS), 0..8),
+        ) {
+            let flags = argv(&words);
+            for lowered in [
+                lower_inference(tag),
+                lower_serve(tag, &flags),
+                lower_fleet(tag, &flags),
+            ] {
+                match lowered {
+                    Ok(scenario) => prop_assert!(scenario.check().is_ok(), "{words:?}"),
+                    Err(e) => prop_assert!(!e.is_empty(), "{words:?}"),
+                }
+            }
+            if let Ok(options) = trend_options(&flags) {
+                prop_assert!(options.window >= 2 && options.tolerance.is_finite());
+            }
+            let _ = (
+                scenario_options(&flags),
+                calibrate_output(&flags),
+                shard_options(&flags),
+                split_tags(&flags),
+            );
+        }
+    }
+
+    #[test]
+    fn lowered_flags_equal_the_equivalent_scenario_file() {
+        let cases = [
+            (
+                lower_serve("H100", &argv(&["--bursty", "--seed", "3"])),
+                r#"
+schema = 1
+name = "serve"
+[[sweep]]
+workload = "serve"
+systems = ["H100"]
+rates = [2.0, 8.0, 32.0, 128.0]
+caps = [4, 16, 64]
+arrival = "bursty"
+seed = 3
+"#,
+            ),
+            (
+                lower_serve("A100", &argv(&["--precision", "all"])),
+                r#"
+schema = 1
+name = "serve"
+[[sweep]]
+workload = "serve"
+systems = ["A100"]
+rates = [2.0, 8.0, 32.0, 128.0]
+caps = [4, 16, 64]
+[[sweep]]
+workload = "serve"
+systems = ["A100"]
+precisions = ["f32", "bf16", "int8"]
+rates = [32.0]
+caps = [64]
+"#,
+            ),
+            (
+                lower_fleet(
+                    "H100",
+                    &argv(&[
+                        "--replicas",
+                        "2",
+                        "--policy",
+                        "all",
+                        "--disagg",
+                        "--autoscale",
+                    ]),
+                ),
+                r#"
+schema = 1
+name = "fleet"
+[[sweep]]
+workload = "fleet"
+systems = ["H100"]
+policies = ["round-robin", "least-kv-load", "session-affinity"]
+replicas = 2
+rates = [96.0]
+caps = [16]
+disagg = true
+autoscale = true
+"#,
+            ),
+            (
+                lower_fleet(
+                    "A100",
+                    &argv(&[
+                        "--precision",
+                        "f32,bf16,int8,int8",
+                        "--policy",
+                        "least-kv-load",
+                    ]),
+                ),
+                r#"
+schema = 1
+name = "fleet"
+[[sweep]]
+workload = "fleet"
+systems = ["A100"]
+replica_precisions = ["f32", "bf16", "int8", "int8"]
+policies = ["least-kv-load"]
+replicas = 4
+rates = [96.0]
+caps = [16]
+"#,
+            ),
+            (
+                lower_inference("GH200"),
+                r#"
+schema = 1
+name = "inference"
+[[sweep]]
+workload = "inference"
+systems = ["GH200"]
+batches = [1, 4, 16, 64]
+"#,
+            ),
+        ];
+        for (lowered, toml) in cases {
+            assert_eq!(lowered.unwrap(), Scenario::parse(toml).unwrap(), "{toml}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_flag_values_are_rejected_by_the_shared_check() {
+        let ceiling = MAX_REPLICAS.to_string();
+        let past_ceiling = (MAX_REPLICAS + 1).to_string();
+        assert!(lower_fleet("H100", &argv(&["--replicas", &ceiling])).is_ok());
+        for flags in [
+            &["--replicas", past_ceiling.as_str()][..],
+            &["--replicas", "0"],
+            &["--replicas", "4294967296"],
+            &["--rate", "-5"],
+            &["--rate", "NaN"],
+            &["--rate", "inf"],
+            &["--cap", "0"],
+            &["--seed", "abc"],
+            &["--replicas", "1", "--disagg"],
+        ] {
+            let err = lower_fleet("H100", &argv(flags)).unwrap_err();
+            assert!(
+                err.contains(flags[0].trim_start_matches('-')),
+                "{flags:?}: {err}"
+            );
+        }
+        let err = lower_serve("H100", &argv(&["--seed", "abc"])).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]

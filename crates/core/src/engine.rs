@@ -22,7 +22,6 @@
 
 use caraml_accel::{AccelError, NodeConfig, PhaseKind, SimDevice, SimNode, SystemId, Timeline};
 use jpwr::{Measurement, PowerMeasurement};
-use std::cell::RefCell;
 use std::sync::Arc;
 
 /// One timed power phase of a plan: `active` devices run at `utilization`
@@ -116,21 +115,13 @@ pub trait Workload {
 }
 
 /// The engine-owned execution state of one run: the simulated node (and
-/// through it the virtual clock) plus the lazily created jpwr meter.
+/// through it the virtual clock), metered once by jpwr after the phases.
 ///
 /// This is the **only** place in the benchmark crate that constructs
 /// [`SimNode`]s and [`PowerMeasurement`]s; workloads receive a context
 /// instead of building their own.
 pub struct RunContext {
     node: SimNode,
-    meter: RefCell<Option<(MeterKey, Arc<PowerMeasurement>)>>,
-}
-
-#[derive(PartialEq)]
-struct MeterKey {
-    devices: usize,
-    prefix: String,
-    method: String,
 }
 
 impl RunContext {
@@ -144,7 +135,6 @@ impl RunContext {
     pub fn from_shared(config: Arc<NodeConfig>) -> Self {
         RunContext {
             node: SimNode::from_shared(config),
-            meter: RefCell::new(None),
         }
     }
 
@@ -160,30 +150,11 @@ impl RunContext {
         self.node.device(i)
     }
 
-    /// The jpwr meter over the leading `devices`, created on first use
-    /// and shared (cheaply, via `Arc`) across every subsequent sampling
-    /// of this context. The underlying power registers are shared with
-    /// the devices, so the creation point does not affect what a later
-    /// sample sees.
-    pub fn power_meter(&self, devices: usize, prefix: &str, method: &str) -> Arc<PowerMeasurement> {
-        let key = MeterKey {
-            devices,
-            prefix: prefix.to_string(),
-            method: method.to_string(),
-        };
-        let mut slot = self.meter.borrow_mut();
-        if let Some((k, m)) = slot.as_ref() {
-            if *k == key {
-                return Arc::clone(m);
-            }
-        }
-        let meter = Arc::new(PowerMeasurement::new(
-            &self.node.devices()[..devices],
-            prefix,
-            method,
-        ));
-        *slot = Some((key, Arc::clone(&meter)));
-        meter
+    /// A jpwr meter over the leading `devices`. The power registers are
+    /// shared with the devices, so the meter sees every phase the node
+    /// has run.
+    pub fn power_meter(&self, devices: usize, prefix: &str, method: &str) -> PowerMeasurement {
+        PowerMeasurement::new(&self.node.devices()[..devices], prefix, method)
     }
 }
 
@@ -301,21 +272,15 @@ impl<T> RunOutcome<T> {
 /// Execute a workload in a fresh context for its system.
 pub fn execute<W: Workload>(w: &W) -> RunOutcome<W::Output> {
     let ctx = RunContext::for_system(w.system());
-    execute_in(w, &ctx)
-}
-
-/// Execute a workload in an existing context (the context must be fresh:
-/// power registers and the clock accumulate across runs).
-pub fn execute_in<W: Workload>(w: &W, ctx: &RunContext) -> RunOutcome<W::Output> {
-    let (plan, phase_plan) = match w.plan(ctx) {
+    let (plan, phase_plan) = match w.plan(&ctx) {
         Ok(p) => p,
         Err(e) => return RunOutcome::from_error(e),
     };
-    let exec = match run_plan(ctx, &phase_plan) {
+    let exec = match run_plan(&ctx, &phase_plan) {
         Ok(x) => x,
         Err(e) => return RunOutcome::from_error(e),
     };
-    RunOutcome::Completed(w.finish(plan, exec, ctx))
+    RunOutcome::Completed(w.finish(plan, exec, &ctx))
 }
 
 /// Drive the node through the plan's phases and take the measurement.
@@ -484,14 +449,10 @@ mod tests {
     }
 
     #[test]
-    fn meter_is_created_once_and_shared() {
+    fn power_meter_covers_the_leading_devices() {
         let ctx = RunContext::for_system(SystemId::A100);
-        let m1 = ctx.power_meter(2, "dev", "pynvml");
-        let m2 = ctx.power_meter(2, "dev", "pynvml");
-        assert!(Arc::ptr_eq(&m1, &m2), "same spec must reuse the meter");
-        let m3 = ctx.power_meter(1, "dev", "pynvml");
-        assert!(!Arc::ptr_eq(&m1, &m3), "different spec rebuilds");
-        assert_eq!(m3.num_sources(), 1);
+        assert_eq!(ctx.power_meter(2, "dev", "pynvml").num_sources(), 2);
+        assert_eq!(ctx.power_meter(1, "dev", "pynvml").num_sources(), 1);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! Execution happens on the `caraml-accel` simulator through the
 //! [`engine`]: every benchmark implements [`engine::Workload`] (a cost
 //! model producing timed phases plus FOM extraction), the engine's
-//! [`engine::RunContext`] owns the [`caraml_accel::SimNode`] and the
-//! jpwr meter, and the [`sweep::SweepRunner`] executes parameter grids
+//! [`engine::RunContext`] owns the [`caraml_accel::SimNode`] and builds
+//! the jpwr meter, and the [`sweep::SweepRunner`] executes parameter grids
 //! in parallel with deterministic, input-ordered collection.
 
 pub mod continuous;

@@ -293,38 +293,23 @@ pub fn render_precision_table(title: &str, foms: &[ServeFom]) -> String {
 
 /// Render the per-shard dispatch accounting of a sharded sweep: one row
 /// per shard job with its grid slice, node requirement, queue and run
-/// times, and (when provided, one value per shard) the shard's total
-/// measured energy in Wh.
-pub fn render_shard_table(
-    title: &str,
-    shards: &[ShardRecord],
-    energy_wh: Option<&[f64]>,
-) -> String {
-    let mut columns = vec![
-        "shard".to_string(),
-        "job".to_string(),
-        "points".to_string(),
-        "nodes".to_string(),
-        "queue_s".to_string(),
-        "run_s".to_string(),
-    ];
-    if energy_wh.is_some() {
-        columns.push("energy_wh".to_string());
-    }
-    let mut table = ResultTable::new(columns);
+/// times.
+pub fn render_shard_table(title: &str, shards: &[ShardRecord]) -> String {
+    let mut table = ResultTable::new(
+        ["shard", "job", "points", "nodes", "queue_s", "run_s"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
+    );
     for rec in shards {
-        let mut row = vec![
+        table.push_row(vec![
             rec.shard.to_string(),
             rec.name.clone(),
             format!("{}..{}", rec.range.start, rec.range.end),
             rec.nodes.to_string(),
             format!("{:.4}", rec.queue_s),
             format!("{:.4}", rec.run_s),
-        ];
-        if let Some(wh) = energy_wh {
-            row.push(format!("{:.2}", wh[rec.shard]));
-        }
-        table.push_row(row);
+        ]);
     }
     format!("{title}\n{}", table.to_ascii())
 }
@@ -657,15 +642,12 @@ mod tests {
                 run_s: 0.5,
             },
         ];
-        let out = render_shard_table("Shard dispatch", &shards, Some(&[12.5, 7.25]));
+        let out = render_shard_table("Shard dispatch", &shards);
         assert!(out.contains("Shard dispatch"));
         assert!(out.contains("sweep_shard1"));
         assert!(out.contains("0..3"));
         assert!(out.contains("3..5"));
         assert!(out.contains("0.1234"));
-        assert!(out.contains("12.50"));
-        let plain = render_shard_table("t", &shards, None);
-        assert!(!plain.contains("energy_wh"));
     }
 
     #[test]

@@ -495,10 +495,22 @@ pub const FIG3_BATCHES: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
 /// The Table III batch sweep.
 pub const TABLE3_BATCHES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
 
-/// Fig. 4 heatmap axes: device counts (up to 2 nodes where available)
-/// and global batch sizes.
-pub const FIG4_DEVICES: [u32; 4] = [1, 2, 4, 8];
+/// Fig. 4 heatmap columns: global batch sizes.
 pub const FIG4_BATCHES: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
+
+/// Fig. 4 heatmap rows for one system: device counts in powers of two up
+/// to two nodes, or up to one node where the system has no inter-node
+/// interconnect ("where resources were available").
+pub fn fig4_devices(system: SystemId) -> Vec<u32> {
+    let node = NodeConfig::shared(system);
+    let max_devices = node
+        .devices_per_node
+        .saturating_mul(node.max_nodes.min(2))
+        .max(1);
+    std::iter::successors(Some(1u32), |&d| d.checked_mul(2))
+        .take_while(|&d| d <= max_devices)
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {

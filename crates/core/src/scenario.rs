@@ -20,6 +20,11 @@
 //! requests = 64
 //! ```
 //!
+//! A [`SweepSpec`] is also what `caraml inference`, `serve` and `fleet`
+//! lower their flags into: flags and files pass the same
+//! [`SweepSpec::check`] and run through the same cell executor,
+//! [`Scenario::execute`], which returns one typed [`RunOutcome`] per cell.
+//!
 //! Execution goes through the exact same benchmark APIs the native Rust
 //! callers use ([`crate::llm`], [`crate::resnet`], [`crate::inference`],
 //! [`crate::serve`], [`crate::fleet`]), so a scenario run is
@@ -32,11 +37,13 @@
 //! serial and parallel runs produce the same outcome.
 
 use crate::continuous::{Baseline, ContinuousError, HistoryRecord};
-use crate::fleet::{FleetBenchmark, RoutePolicy};
-use crate::inference::InferenceBenchmark;
+use crate::engine::RunOutcome;
+use crate::fleet::{AutoscaleConfig, FleetBenchmark, RoutePolicy};
+use crate::fom::{CvFom, FleetFom, LlmFom, ServeFom};
+use crate::inference::{InferenceBenchmark, InferenceFom};
 use crate::llm::LlmBenchmark;
 use crate::resnet::ResnetBenchmark;
-use crate::serve::{ArrivalKind, ServeBenchmark, ServePoint};
+use crate::serve::{load_grid, ArrivalKind, ServeBenchmark, ServePoint};
 use crate::sweep::SweepRunner;
 use caraml_accel::toml_lite::{self, TomlValue};
 use caraml_accel::{DeviceKind, NodeConfig, Precision, SystemId};
@@ -47,6 +54,38 @@ use std::path::Path;
 /// Scenario file schema version; bump on incompatible layout changes
 /// (same convention as the device registry).
 pub const SCENARIO_SCHEMA: u32 = 1;
+
+/// Trace seed of a scenario that sets no `seed`.
+pub const DEFAULT_SEED: u64 = 42;
+
+/// Arrival process of `arrival = "bursty"` without `burst_factor` or
+/// `mean_burst`, and of the CLI's `--bursty`: bursts at 8× the mean
+/// rate, 6 requests long on average.
+pub const BURSTY: ArrivalKind = ArrivalKind::Bursty {
+    burst_factor: 8.0,
+    mean_burst: 6.0,
+};
+
+/// Most replicas a fleet sweep may provision. The fleet validator walks
+/// every replica id, and the simulator holds one batcher with its phase
+/// log and one metering node per replica.
+pub const MAX_REPLICAS: u32 = 4096;
+
+/// Longest arrival trace a serve or fleet sweep may draw. The trace, the
+/// request records and the latency samples each hold one entry per
+/// request, a few hundred bytes per request in all.
+pub const MAX_REQUESTS: u32 = 10_000_000;
+
+/// Longest LLM measurement window, seconds. jpwr samples the window at
+/// the benchmark's 1 s interval into one power row per sample, one
+/// column per device.
+pub const MAX_DURATION_S: f64 = 1e6;
+
+/// Largest batch a sweep may ask for, far past any device's memory. Near
+/// `u64::MAX` the cost models' byte products overflow, and a wrapped
+/// product passes the memory check and sizes a measurement window of
+/// about 10¹⁶ one-second jpwr samples.
+pub const MAX_BATCH: u64 = 1 << 24;
 
 /// Failure of scenario parsing, validation, or execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,6 +201,15 @@ pub struct SweepSpec {
     pub seed: Option<u64>,
     /// LLM measurement-window override, seconds (Fig. 2 uses 3600).
     pub duration_s: Option<f64>,
+    /// Split the fleet into prefill and decode pools (fleet only).
+    pub disagg: bool,
+    /// Scale the fleet on queue depth between `min(replicas, 8)` and
+    /// `max(replicas, 8)` replicas, 8 being the autoscaler's default
+    /// ceiling (fleet only).
+    pub autoscale: bool,
+    /// Per-replica precision ladder: replica `i` runs entry `i % len`
+    /// (fleet only). Empty puts every replica at the sweep's precision.
+    pub replica_precisions: Vec<Precision>,
 }
 
 impl SweepSpec {
@@ -182,7 +230,222 @@ impl SweepSpec {
             requests: None,
             seed: None,
             duration_s: None,
+            disagg: false,
+            autoscale: false,
+            replica_precisions: Vec::new(),
         }
+    }
+
+    /// The range rules every sweep passes, whether parsed from a file or
+    /// lowered from CLI flags: positive axes, the workload's required
+    /// axes, and the ceilings on the counts that size allocations.
+    /// `context` prefixes the error (`sweep[0]`, or the CLI command).
+    pub fn check(&self, context: &str) -> Result<(), ScenarioError> {
+        if self.systems.is_empty() {
+            return Err(invalid(context, "`systems` must not be empty"));
+        }
+        for &n in &self.batches {
+            if !(1..=MAX_BATCH).contains(&n) {
+                return Err(invalid(
+                    context,
+                    format!("batch sizes must be between 1 and {MAX_BATCH}, got {n}"),
+                ));
+            }
+        }
+        for &n in &self.rates {
+            // `f64::from_str` accepts NaN and inf, so check finiteness.
+            if !(n.is_finite() && n > 0.0) {
+                return Err(invalid(
+                    context,
+                    format!("rates must be positive and finite, got {n}"),
+                ));
+            }
+        }
+        if self.caps.contains(&0) {
+            return Err(invalid(context, "caps must be positive integers, got 0"));
+        }
+        if !(1..=MAX_REPLICAS).contains(&self.replicas) {
+            return Err(invalid(
+                context,
+                format!(
+                    "replicas must be between 1 and {MAX_REPLICAS}, got {}",
+                    self.replicas
+                ),
+            ));
+        }
+        if let Some(n) = self.requests {
+            if !(1..=MAX_REQUESTS).contains(&n) {
+                return Err(invalid(
+                    context,
+                    format!("requests must be between 1 and {MAX_REQUESTS}, got {n}"),
+                ));
+            }
+        }
+        if let Some(d) = self.duration_s {
+            if !(d > 0.0 && d <= MAX_DURATION_S) {
+                return Err(invalid(
+                    context,
+                    format!("duration_s must be positive and at most {MAX_DURATION_S:e}, got {d}"),
+                ));
+            }
+        }
+        if let ArrivalKind::Bursty {
+            burst_factor,
+            mean_burst,
+        } = self.arrival
+        {
+            if !(burst_factor > 1.0
+                && burst_factor.is_finite()
+                && mean_burst >= 1.0
+                && mean_burst.is_finite())
+            {
+                return Err(invalid(
+                    context,
+                    "bursty needs a finite burst_factor > 1 and mean_burst >= 1",
+                ));
+            }
+        }
+        if self.disagg && self.replicas < 2 {
+            return Err(invalid(
+                context,
+                "disagg needs at least two replicas, one per pool",
+            ));
+        }
+        if !self.precisions.is_empty() && !self.replica_precisions.is_empty() {
+            return Err(invalid(
+                context,
+                "`precisions` and `replica_precisions` are exclusive",
+            ));
+        }
+        match self.workload {
+            WorkloadKind::Llm | WorkloadKind::Resnet | WorkloadKind::Inference => {
+                if self.batches.is_empty() {
+                    return Err(missing(context, "batches"));
+                }
+            }
+            WorkloadKind::Serve | WorkloadKind::Fleet => {
+                if self.rates.is_empty() {
+                    return Err(missing(context, "rates"));
+                }
+                if self.caps.is_empty() {
+                    return Err(missing(context, "caps"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The serving benchmark a serve cell of this sweep runs on `sys` at
+    /// `precision` (`None`: the default tier); `seed` applies when the
+    /// sweep sets none. Fleet cells put every replica on this config.
+    pub fn serve_bench(
+        &self,
+        sys: SystemId,
+        precision: Option<Precision>,
+        seed: u64,
+    ) -> ServeBenchmark {
+        let mut bench = ServeBenchmark::new(sys).with_precision(precision.unwrap_or_default());
+        if let Some(n) = self.requests {
+            bench.config.num_requests = n;
+        }
+        bench.config.seed = self.seed.unwrap_or(seed);
+        bench.config.arrival = self.arrival;
+        bench
+    }
+
+    /// The fleet benchmark a fleet cell of this sweep runs.
+    fn fleet_bench(
+        &self,
+        sys: SystemId,
+        policy: RoutePolicy,
+        precision: Option<Precision>,
+        seed: u64,
+    ) -> FleetBenchmark {
+        let mut bench = FleetBenchmark::new(sys)
+            .with_policy(policy)
+            .with_replicas(self.replicas)
+            .disaggregated(self.disagg);
+        bench.config.serve = self.serve_bench(sys, precision, seed).config;
+        if !self.replica_precisions.is_empty() {
+            bench.config.replica_precisions = Some(self.replica_precisions.clone());
+        }
+        if self.autoscale {
+            let default = AutoscaleConfig::default();
+            bench = bench.with_autoscale(AutoscaleConfig {
+                min_replicas: self.replicas.min(default.max_replicas),
+                max_replicas: self.replicas.max(default.max_replicas),
+                ..default
+            });
+        }
+        bench
+    }
+
+    /// This sweep's cells: systems × precisions × the workload's own
+    /// axes, all in declaration order. `seed` is the scenario's.
+    fn cells(&self, seed: u64) -> Vec<Cell> {
+        let precisions: Vec<Option<Precision>> = if self.precisions.is_empty() {
+            vec![None]
+        } else {
+            self.precisions.iter().copied().map(Some).collect()
+        };
+        let policies = if self.policies.is_empty() {
+            vec![RoutePolicy::RoundRobin]
+        } else {
+            self.policies.clone()
+        };
+        let loads = load_grid(&self.rates, &self.caps);
+        let mut cells = Vec::new();
+        for &sys in &self.systems {
+            match self.workload {
+                WorkloadKind::Llm => cells.extend(self.batches.iter().map(|&batch| Cell::Llm {
+                    sys,
+                    batch,
+                    duration_s: self.duration_s,
+                })),
+                WorkloadKind::Resnet => cells.extend(
+                    self.batches
+                        .iter()
+                        .map(|&batch| Cell::Resnet { sys, batch }),
+                ),
+                WorkloadKind::Inference => {
+                    for &precision in &precisions {
+                        let bench = InferenceBenchmark::new(sys)
+                            .with_precision(precision.unwrap_or_default());
+                        for &batch in &self.batches {
+                            cells.push(Cell::Inference {
+                                bench: bench.clone(),
+                                batch: batch as u32,
+                            });
+                        }
+                    }
+                }
+                WorkloadKind::Serve => {
+                    for &precision in &precisions {
+                        let bench = self.serve_bench(sys, precision, seed);
+                        for &point in &loads {
+                            cells.push(Cell::Serve {
+                                bench: bench.clone(),
+                                point,
+                            });
+                        }
+                    }
+                }
+                WorkloadKind::Fleet => {
+                    for &policy in &policies {
+                        for &precision in &precisions {
+                            let bench = self.fleet_bench(sys, policy, precision, seed);
+                            for &point in &loads {
+                                cells.push(Cell::Fleet {
+                                    bench: bench.clone(),
+                                    point,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cells
     }
 }
 
@@ -223,6 +486,17 @@ fn as_u64(v: &TomlValue, context: &str, key: &str) -> Result<u64, ScenarioError>
     Ok(n as u64)
 }
 
+/// Read a non-negative integer that fits a `u32`.
+fn as_u32(v: &TomlValue, context: &str, key: &str) -> Result<u32, ScenarioError> {
+    let n = as_u64(v, context, key)?;
+    u32::try_from(n).map_err(|_| invalid(context, format!("`{key}` must be below 2^32, got {n}")))
+}
+
+fn as_bool(v: &TomlValue, context: &str, key: &str) -> Result<bool, ScenarioError> {
+    v.as_bool()
+        .ok_or_else(|| invalid(context, format!("`{key}` must be true or false")))
+}
+
 fn str_items<'a>(
     v: &'a TomlValue,
     context: &str,
@@ -235,6 +509,17 @@ fn str_items<'a>(
 fn num_items(v: &TomlValue, context: &str, key: &str) -> Result<Vec<f64>, ScenarioError> {
     v.as_f64_array()
         .ok_or_else(|| invalid(context, format!("`{key}` must be an array of numbers")))
+}
+
+fn precision_items(
+    v: &TomlValue,
+    context: &str,
+    key: &str,
+) -> Result<Vec<Precision>, ScenarioError> {
+    str_items(v, context, key)?
+        .into_iter()
+        .map(|tag| Precision::try_from_tag(tag).map_err(|e| invalid(context, e)))
+        .collect()
 }
 
 impl Scenario {
@@ -272,7 +557,7 @@ impl Scenario {
             .to_string();
         let seed = match doc.get("seed") {
             Some(v) => as_u64(v, "scenario", "seed")?,
-            None => 42,
+            None => DEFAULT_SEED,
         };
         let sweep_tables = doc
             .get("sweep")
@@ -332,6 +617,9 @@ impl Scenario {
                 "arrival",
                 "burst_factor",
                 "mean_burst",
+                "disagg",
+                "autoscale",
+                "replica_precisions",
             ],
         };
         for (key, _) in entries {
@@ -350,18 +638,15 @@ impl Scenario {
             spec.systems
                 .push(SystemId::try_from_tag(tag).map_err(|e| invalid(ctx, e.to_string()))?);
         }
-        if spec.systems.is_empty() {
-            return Err(invalid(ctx, "`systems` must not be empty"));
-        }
         if let Some(v) = table.get("precisions") {
-            for tag in str_items(v, ctx, "precisions")? {
-                spec.precisions
-                    .push(Precision::try_from_tag(tag).map_err(|e| invalid(ctx, e))?);
-            }
+            spec.precisions = precision_items(v, ctx, "precisions")?;
+        }
+        if let Some(v) = table.get("replica_precisions") {
+            spec.replica_precisions = precision_items(v, ctx, "replica_precisions")?;
         }
         if let Some(v) = table.get("batches") {
             for n in num_items(v, ctx, "batches")? {
-                if n <= 0.0 || n.fract() != 0.0 {
+                if n < 0.0 || n.fract() != 0.0 {
                     return Err(invalid(
                         ctx,
                         format!("batch sizes must be positive integers, got {n}"),
@@ -371,17 +656,11 @@ impl Scenario {
             }
         }
         if let Some(v) = table.get("rates") {
-            for n in num_items(v, ctx, "rates")? {
-                // toml_lite rejects NaN/inf, so <= is a total check here.
-                if n <= 0.0 {
-                    return Err(invalid(ctx, format!("rates must be positive, got {n}")));
-                }
-                spec.rates.push(n);
-            }
+            spec.rates = num_items(v, ctx, "rates")?;
         }
         if let Some(v) = table.get("caps") {
             for n in num_items(v, ctx, "caps")? {
-                if n <= 0.0 || n.fract() != 0.0 || n > u32::MAX as f64 {
+                if n < 0.0 || n.fract() != 0.0 || n > u32::MAX as f64 {
                     return Err(invalid(
                         ctx,
                         format!("caps must be positive integers, got {n}"),
@@ -397,18 +676,10 @@ impl Scenario {
             }
         }
         if let Some(v) = table.get("replicas") {
-            let n = as_u64(v, ctx, "replicas")?;
-            if n == 0 || n > u32::MAX as u64 {
-                return Err(invalid(ctx, "replicas must be a positive integer"));
-            }
-            spec.replicas = n as u32;
+            spec.replicas = as_u32(v, ctx, "replicas")?;
         }
         if let Some(v) = table.get("requests") {
-            let n = as_u64(v, ctx, "requests")?;
-            if n == 0 || n > u32::MAX as u64 {
-                return Err(invalid(ctx, "requests must be a positive integer"));
-            }
-            spec.requests = Some(n as u32);
+            spec.requests = Some(as_u32(v, ctx, "requests")?);
         }
         if let Some(v) = table.get("seed") {
             spec.seed = Some(as_u64(v, ctx, "seed")?);
@@ -417,37 +688,33 @@ impl Scenario {
             let n = v
                 .as_f64()
                 .ok_or_else(|| invalid(ctx, "`duration_s` must be a number"))?;
-            if n <= 0.0 {
-                return Err(invalid(ctx, "duration_s must be positive"));
-            }
             spec.duration_s = Some(n);
+        }
+        if let Some(v) = table.get("disagg") {
+            spec.disagg = as_bool(v, ctx, "disagg")?;
+        }
+        if let Some(v) = table.get("autoscale") {
+            spec.autoscale = as_bool(v, ctx, "autoscale")?;
         }
         match table.get("arrival").map(|v| v.as_str()) {
             None => {}
             Some(Some("poisson")) => spec.arrival = ArrivalKind::Poisson,
             Some(Some("bursty")) => {
-                let burst_factor = match table.get("burst_factor") {
-                    Some(v) => v
-                        .as_f64()
-                        .ok_or_else(|| invalid(ctx, "`burst_factor` must be a number"))?,
-                    None => 8.0,
-                };
-                let mean_burst = match table.get("mean_burst") {
-                    Some(v) => v
-                        .as_f64()
-                        .ok_or_else(|| invalid(ctx, "`mean_burst` must be a number"))?,
-                    None => 6.0,
-                };
-                if burst_factor <= 1.0 || mean_burst < 1.0 {
-                    return Err(invalid(
-                        ctx,
-                        "bursty needs burst_factor > 1 and mean_burst >= 1",
-                    ));
-                }
-                spec.arrival = ArrivalKind::Bursty {
+                spec.arrival = BURSTY;
+                if let ArrivalKind::Bursty {
                     burst_factor,
                     mean_burst,
-                };
+                } = &mut spec.arrival
+                {
+                    for (key, slot) in [("burst_factor", burst_factor), ("mean_burst", mean_burst)]
+                    {
+                        if let Some(v) = table.get(key) {
+                            *slot = v
+                                .as_f64()
+                                .ok_or_else(|| invalid(ctx, format!("`{key}` must be a number")))?;
+                        }
+                    }
+                }
             }
             Some(other) => {
                 return Err(invalid(
@@ -456,23 +723,7 @@ impl Scenario {
                 ))
             }
         }
-
-        // Per-workload required axes.
-        match workload {
-            WorkloadKind::Llm | WorkloadKind::Resnet | WorkloadKind::Inference => {
-                if spec.batches.is_empty() {
-                    return Err(missing(ctx, "batches"));
-                }
-            }
-            WorkloadKind::Serve | WorkloadKind::Fleet => {
-                if spec.rates.is_empty() {
-                    return Err(missing(ctx, "rates"));
-                }
-                if spec.caps.is_empty() {
-                    return Err(missing(ctx, "caps"));
-                }
-            }
-        }
+        spec.check(ctx)?;
         Ok(spec)
     }
 
@@ -483,132 +734,66 @@ impl Scenario {
         Self::parse(&text)
     }
 
-    /// Deterministic cell expansion: sweeps in file order, within each
-    /// sweep systems × precisions × the workload's own axes, all in
-    /// declaration order.
-    fn cells(&self) -> Vec<Cell> {
-        let mut cells = Vec::new();
-        for spec in &self.sweeps {
-            let precisions: Vec<Option<Precision>> = if spec.precisions.is_empty() {
-                vec![None]
-            } else {
-                spec.precisions.iter().copied().map(Some).collect()
-            };
-            let seed = spec.seed.unwrap_or(self.seed);
-            match spec.workload {
-                WorkloadKind::Llm => {
-                    for &sys in &spec.systems {
-                        for &batch in &spec.batches {
-                            cells.push(Cell::Llm {
-                                sys,
-                                batch,
-                                duration_s: spec.duration_s,
-                            });
-                        }
-                    }
-                }
-                WorkloadKind::Resnet => {
-                    for &sys in &spec.systems {
-                        for &batch in &spec.batches {
-                            cells.push(Cell::Resnet { sys, batch });
-                        }
-                    }
-                }
-                WorkloadKind::Inference => {
-                    for &sys in &spec.systems {
-                        for &precision in &precisions {
-                            for &batch in &spec.batches {
-                                cells.push(Cell::Inference {
-                                    sys,
-                                    precision,
-                                    batch,
-                                });
-                            }
-                        }
-                    }
-                }
-                WorkloadKind::Serve => {
-                    for &sys in &spec.systems {
-                        for &precision in &precisions {
-                            for &rate in &spec.rates {
-                                for &cap in &spec.caps {
-                                    cells.push(Cell::Serve {
-                                        sys,
-                                        precision,
-                                        rate,
-                                        cap,
-                                        requests: spec.requests,
-                                        seed,
-                                        arrival: spec.arrival,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                WorkloadKind::Fleet => {
-                    let policies: Vec<RoutePolicy> = if spec.policies.is_empty() {
-                        vec![RoutePolicy::RoundRobin]
-                    } else {
-                        spec.policies.clone()
-                    };
-                    for &sys in &spec.systems {
-                        for &policy in &policies {
-                            for &precision in &precisions {
-                                for &rate in &spec.rates {
-                                    for &cap in &spec.caps {
-                                        cells.push(Cell::Fleet {
-                                            sys,
-                                            policy,
-                                            precision,
-                                            replicas: spec.replicas,
-                                            rate,
-                                            cap,
-                                            requests: spec.requests,
-                                            seed,
-                                            arrival: spec.arrival,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
+    /// [`SweepSpec::check`] on every sweep.
+    pub fn check(&self) -> Result<(), ScenarioError> {
+        self.sweeps
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, spec)| spec.check(&format!("sweep[{i}]")))
     }
 
     /// Total cells the scenario expands to.
     pub fn cell_count(&self) -> usize {
-        self.cells().len()
+        self.sweeps
+            .iter()
+            .map(|spec| spec.cells(self.seed).len())
+            .sum()
     }
 
-    /// Execute every cell through the shared benchmark APIs and fold the
-    /// figures of merit into a metric map. Out-of-memory cells are
-    /// skipped (and listed); any other benchmark failure aborts.
+    /// Execute every cell through the shared benchmark APIs: one
+    /// `(label, outcome)` per cell, grouped by sweep, in expansion order
+    /// (sweeps in file order, then systems × precisions × the workload's
+    /// axes). The label is the cell's metric-key prefix. The scenario
+    /// must pass [`Scenario::check`]; parsing checks it.
+    pub fn execute(&self, runner: SweepRunner) -> Vec<Vec<(String, RunOutcome<CellFom>)>> {
+        let cells: Vec<(usize, Cell)> = self
+            .sweeps
+            .iter()
+            .enumerate()
+            .flat_map(|(i, spec)| spec.cells(self.seed).into_iter().map(move |c| (i, c)))
+            .collect();
+        let mut grouped = vec![Vec::new(); self.sweeps.len()];
+        for (i, outcome) in runner.map(cells, |(i, cell)| (i, (cell.label(), cell.execute()))) {
+            grouped[i].push(outcome);
+        }
+        grouped
+    }
+
+    /// Check the scenario, execute every cell and fold the figures of
+    /// merit into a metric map. Out-of-memory cells are skipped (and
+    /// listed); any other benchmark failure aborts.
     pub fn run(&self, runner: SweepRunner) -> Result<ScenarioOutcome, ScenarioError> {
-        let cells = self.cells();
-        let results = runner.map(cells, |cell| {
-            let label = cell.label();
-            (label, cell.execute())
-        });
+        self.check()?;
         let mut metrics = Baseline::new(&self.name);
         let mut skipped_oom = Vec::new();
         let mut runs = 0u64;
-        for (label, result) in results {
-            match result {
-                Ok(CellOut::Metrics(pairs)) => {
+        for (label, outcome) in self.execute(runner).into_iter().flatten() {
+            match outcome {
+                RunOutcome::Completed(fom) => {
                     runs += 1;
-                    for (key, value) in pairs {
-                        metrics.record(key, value).map_err(|e| ScenarioError::Run {
+                    fom.record(&mut metrics, &label)
+                        .map_err(|e| ScenarioError::Run {
                             cell: label.clone(),
                             msg: e.to_string(),
                         })?;
-                    }
                 }
-                Ok(CellOut::Oom) => skipped_oom.push(label),
-                Err(msg) => return Err(ScenarioError::Run { cell: label, msg }),
+                RunOutcome::Oom { .. } => skipped_oom.push(label),
+                RunOutcome::Failed(e) => {
+                    return Err(ScenarioError::Run {
+                        cell: label,
+                        msg: e.to_string(),
+                    })
+                }
             }
         }
         let checksum = format!("{:016x}", checksum64(&metrics));
@@ -664,13 +849,14 @@ impl Scenario {
         };
         Scenario {
             name: "quickstart".to_string(),
-            seed: 42,
+            seed: DEFAULT_SEED,
             sweeps: vec![llm, resnet, inference, serve, fleet],
         }
     }
 }
 
-/// One executable unit of a scenario.
+/// One executable unit of a scenario: a configured benchmark at one
+/// point of its sweep's axes.
 #[derive(Debug, Clone)]
 enum Cell {
     Llm {
@@ -683,39 +869,47 @@ enum Cell {
         batch: u64,
     },
     Inference {
-        sys: SystemId,
-        precision: Option<Precision>,
-        batch: u64,
+        bench: InferenceBenchmark,
+        batch: u32,
     },
     Serve {
-        sys: SystemId,
-        precision: Option<Precision>,
-        rate: f64,
-        cap: u32,
-        requests: Option<u32>,
-        seed: u64,
-        arrival: ArrivalKind,
+        bench: ServeBenchmark,
+        point: ServePoint,
     },
     Fleet {
-        sys: SystemId,
-        policy: RoutePolicy,
-        precision: Option<Precision>,
-        replicas: u32,
-        rate: f64,
-        cap: u32,
-        requests: Option<u32>,
-        seed: u64,
-        arrival: ArrivalKind,
+        bench: FleetBenchmark,
+        point: ServePoint,
     },
 }
 
-enum CellOut {
-    Metrics(Vec<(String, f64)>),
-    Oom,
+/// The figures of merit of one completed cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CellFom {
+    Llm(LlmFom),
+    Resnet(CvFom),
+    Inference(InferenceFom),
+    Serve(ServeFom),
+    Fleet(FleetFom),
 }
 
-fn prec_tag(precision: Option<Precision>) -> &'static str {
-    precision.unwrap_or_default().tag()
+impl CellFom {
+    /// Fold the cell's headline metrics into `metrics` under `prefix`.
+    fn record(&self, metrics: &mut Baseline, prefix: &str) -> Result<(), ContinuousError> {
+        match self {
+            CellFom::Llm(fom) => metrics.record_llm(prefix, fom),
+            CellFom::Resnet(fom) => metrics.record_cv(prefix, fom),
+            CellFom::Inference(fom) => {
+                metrics.record(format!("{prefix}/ttft_s"), fom.ttft_s)?;
+                metrics.record(
+                    format!("{prefix}/decode_tokens_per_s"),
+                    fom.decode_tokens_per_s,
+                )?;
+                metrics.record(format!("{prefix}/wh_per_ktoken"), fom.energy_wh_per_ktoken)
+            }
+            CellFom::Serve(fom) => metrics.record_serve(prefix, fom),
+            CellFom::Fleet(fom) => metrics.record_fleet(prefix, fom),
+        }
+    }
 }
 
 fn is_ipu(sys: SystemId) -> bool {
@@ -728,172 +922,75 @@ impl Cell {
         match self {
             Cell::Llm { sys, batch, .. } => format!("llm/{}/b{batch}", sys.jube_tag()),
             Cell::Resnet { sys, batch } => format!("resnet50/{}/b{batch}", sys.jube_tag()),
-            Cell::Inference {
-                sys,
-                precision,
-                batch,
-            } => format!(
+            Cell::Inference { bench, batch } => format!(
                 "inference/{}/{}/b{batch}",
-                sys.jube_tag(),
-                prec_tag(*precision)
+                bench.system.jube_tag(),
+                bench.precision.tag()
             ),
-            Cell::Serve {
-                sys,
-                precision,
-                rate,
-                cap,
-                ..
-            } => format!(
-                "serve/{}/{}/r{rate}/c{cap}",
-                sys.jube_tag(),
-                prec_tag(*precision)
+            Cell::Serve { bench, point } => format!(
+                "serve/{}/{}/r{}/c{}",
+                bench.config.system.jube_tag(),
+                bench.config.precision.tag(),
+                point.rate_per_s,
+                point.batch_cap
             ),
-            Cell::Fleet {
-                sys,
-                policy,
-                precision,
-                rate,
-                cap,
-                ..
-            } => format!(
-                "fleet/{}/{}/{}/r{rate}/c{cap}",
-                sys.jube_tag(),
-                policy.tag(),
-                prec_tag(*precision)
-            ),
+            Cell::Fleet { bench, point } => {
+                let cfg = &bench.config;
+                let precision = match &cfg.replica_precisions {
+                    Some(ladder) => ladder
+                        .iter()
+                        .map(Precision::tag)
+                        .collect::<Vec<_>>()
+                        .join("+"),
+                    None => cfg.serve.precision.tag().to_string(),
+                };
+                let mut label = format!(
+                    "fleet/{}/{}/{precision}/r{}/c{}",
+                    cfg.serve.system.jube_tag(),
+                    cfg.policy.tag(),
+                    point.rate_per_s,
+                    point.batch_cap
+                );
+                if cfg.disaggregated {
+                    label.push_str("/disagg");
+                }
+                if cfg.autoscale.is_some() {
+                    label.push_str("/autoscale");
+                }
+                label
+            }
         }
     }
 
     /// Run the cell through the same benchmark entry points native
-    /// callers use. OOM is a skippable outcome, not an error.
-    fn execute(&self) -> Result<CellOut, String> {
-        let prefix = self.label();
-        let mut fold = Baseline::new(&prefix);
-        let oom_or = |e: caraml_accel::AccelError| -> Result<CellOut, String> {
-            if e.is_oom() {
-                Ok(CellOut::Oom)
-            } else {
-                Err(e.to_string())
-            }
-        };
-        match self {
+    /// callers use.
+    fn execute(&self) -> RunOutcome<CellFom> {
+        let fom = match self {
             Cell::Llm {
                 sys,
                 batch,
                 duration_s,
-            } => {
-                let run = if is_ipu(*sys) {
-                    match LlmBenchmark::run_ipu(*batch, 1.0) {
-                        Ok(run) => run,
-                        Err(e) => return oom_or(e),
-                    }
-                } else {
-                    let mut bench = LlmBenchmark::fig2(*sys);
-                    if let Some(d) = duration_s {
-                        bench.duration_s = *d;
-                    }
-                    match bench.run(*batch) {
-                        Ok(run) => run,
-                        Err(e) => return oom_or(e),
-                    }
-                };
-                fold.record_llm(&prefix, &run.fom)
-                    .map_err(|e| e.to_string())?;
-            }
-            Cell::Resnet { sys, batch } => {
-                let run = if is_ipu(*sys) {
-                    match ResnetBenchmark::run_ipu(*batch, 1.0) {
-                        Ok(run) => run,
-                        Err(e) => return oom_or(e),
-                    }
-                } else {
-                    match ResnetBenchmark::fig3(*sys).run(*batch) {
-                        Ok(run) => run,
-                        Err(e) => return oom_or(e),
-                    }
-                };
-                fold.record_cv(&prefix, &run.fom)
-                    .map_err(|e| e.to_string())?;
-            }
-            Cell::Inference {
-                sys,
-                precision,
-                batch,
-            } => {
-                let bench =
-                    InferenceBenchmark::new(*sys).with_precision(precision.unwrap_or_default());
-                let fom = match bench.run(*batch as u32) {
-                    Ok(fom) => fom,
-                    Err(e) => return oom_or(e),
-                };
-                let rec = |b: &mut Baseline, key: &str, v: f64| {
-                    b.record(format!("{prefix}/{key}"), v)
-                        .map_err(|e| e.to_string())
-                };
-                rec(&mut fold, "ttft_s", fom.ttft_s)?;
-                rec(&mut fold, "decode_tokens_per_s", fom.decode_tokens_per_s)?;
-                rec(&mut fold, "wh_per_ktoken", fom.energy_wh_per_ktoken)?;
-            }
-            Cell::Serve {
-                sys,
-                precision,
-                rate,
-                cap,
-                requests,
-                seed,
-                arrival,
-            } => {
-                let mut bench =
-                    ServeBenchmark::new(*sys).with_precision(precision.unwrap_or_default());
-                if let Some(n) = requests {
-                    bench.config.num_requests = *n;
+            } => if is_ipu(*sys) {
+                LlmBenchmark::run_ipu(*batch, 1.0)
+            } else {
+                let mut bench = LlmBenchmark::fig2(*sys);
+                if let Some(d) = duration_s {
+                    bench.duration_s = *d;
                 }
-                bench.config.seed = *seed;
-                bench.config.arrival = *arrival;
-                let point = ServePoint {
-                    rate_per_s: *rate,
-                    batch_cap: *cap,
-                };
-                let fom = match bench.run(point) {
-                    Ok(fom) => fom,
-                    Err(e) => return oom_or(e),
-                };
-                fold.record_serve(&prefix, &fom)
-                    .map_err(|e| e.to_string())?;
+                bench.run(*batch)
             }
-            Cell::Fleet {
-                sys,
-                policy,
-                precision,
-                replicas,
-                rate,
-                cap,
-                requests,
-                seed,
-                arrival,
-            } => {
-                let mut bench = FleetBenchmark::new(*sys)
-                    .with_policy(*policy)
-                    .with_replicas(*replicas)
-                    .with_precision(precision.unwrap_or_default());
-                if let Some(n) = requests {
-                    bench.config.serve.num_requests = *n;
-                }
-                bench.config.serve.seed = *seed;
-                bench.config.serve.arrival = *arrival;
-                let point = ServePoint {
-                    rate_per_s: *rate,
-                    batch_cap: *cap,
-                };
-                let fom = match bench.run(point) {
-                    Ok(fom) => fom,
-                    Err(e) => return oom_or(e),
-                };
-                fold.record_fleet(&prefix, &fom)
-                    .map_err(|e| e.to_string())?;
+            .map(|run| CellFom::Llm(run.fom)),
+            Cell::Resnet { sys, batch } => if is_ipu(*sys) {
+                ResnetBenchmark::run_ipu(*batch, 1.0)
+            } else {
+                ResnetBenchmark::fig3(*sys).run(*batch)
             }
-        }
-        Ok(CellOut::Metrics(fold.metrics.into_iter().collect()))
+            .map(|run| CellFom::Resnet(run.fom)),
+            Cell::Inference { bench, batch } => bench.run(*batch).map(CellFom::Inference),
+            Cell::Serve { bench, point } => bench.run(*point).map(CellFom::Serve),
+            Cell::Fleet { bench, point } => bench.run(*point).map(CellFom::Fleet),
+        };
+        RunOutcome::from_result(fom)
     }
 }
 
@@ -1139,6 +1236,153 @@ requests = 48
             .find(|r| r.key.ends_with("p99_ttft_s"))
             .unwrap();
         assert_eq!(ttft.direction, crate::continuous::Direction::LowerIsBetter);
+    }
+
+    #[test]
+    fn fleet_keys_set_disagg_autoscale_and_the_precision_ladder() {
+        let sc = Scenario::parse(
+            "schema = 1\nname = \"f\"\n[[sweep]]\nworkload = \"fleet\"\nsystems = [\"H100\"]\n\
+             policies = [\"round-robin\", \"least-kv-load\"]\nreplicas = 2\nrates = [64.0]\n\
+             caps = [16]\nrequests = 32\ndisagg = true\nautoscale = true\n\
+             replica_precisions = [\"bf16\", \"int8\"]",
+        )
+        .unwrap();
+        let spec = &sc.sweeps[0];
+        assert!(spec.disagg && spec.autoscale);
+        assert_eq!(
+            spec.replica_precisions,
+            vec![Precision::Bf16, Precision::Int8]
+        );
+        // The CLI's autoscale rule: between min(replicas, 8) and
+        // max(replicas, 8) replicas.
+        let bench = spec.fleet_bench(SystemId::H100Jrdc, RoutePolicy::RoundRobin, None, sc.seed);
+        let scale = bench.config.autoscale.expect("autoscale = true");
+        assert_eq!((scale.min_replicas, scale.max_replicas), (2, 8));
+        assert_eq!(bench.precision_of(1), Precision::Int8);
+        let cells = sc.execute(SweepRunner::serial()).swap_remove(0);
+        assert_eq!(cells.len(), 2, "one cell per policy");
+        for (label, outcome) in cells {
+            assert!(
+                label.ends_with("/bf16+int8/r64/c16/disagg/autoscale"),
+                "{label}"
+            );
+            let RunOutcome::Completed(CellFom::Fleet(fom)) = outcome else {
+                panic!("{label}: {outcome:?}");
+            };
+            assert!(
+                fom.kv_handoffs > 0,
+                "{label}: a disaggregated fleet hands off KV"
+            );
+        }
+    }
+
+    #[test]
+    fn counts_past_their_ceilings_are_rejected_before_any_cell_runs() {
+        let fleet = |key: &str| {
+            Scenario::parse(&format!(
+                "schema = 1\nname = \"x\"\n[[sweep]]\nworkload = \"fleet\"\n\
+                 systems = [\"H100\"]\nrates = [8.0]\ncaps = [4]\n{key}"
+            ))
+        };
+        let llm = |key: &str| {
+            Scenario::parse(&format!(
+                "schema = 1\nname = \"x\"\n[[sweep]]\nworkload = \"llm\"\n\
+                 systems = [\"A100\"]\nbatches = [512]\n{key}"
+            ))
+        };
+        let resnet = |batches: &str| {
+            Scenario::parse(&format!(
+                "schema = 1\nname = \"x\"\n[[sweep]]\nworkload = \"resnet\"\n\
+                 systems = [\"A100\"]\nbatches = [{batches}]"
+            ))
+        };
+        // At a ceiling the file parses; it is never run here.
+        assert!(fleet(&format!("replicas = {MAX_REPLICAS}")).is_ok());
+        assert!(fleet(&format!("requests = {MAX_REQUESTS}")).is_ok());
+        assert!(llm(&format!("duration_s = {MAX_DURATION_S:?}")).is_ok());
+        assert!(resnet(&MAX_BATCH.to_string()).is_ok());
+        for (parsed, key) in [
+            (
+                fleet(&format!("replicas = {}", MAX_REPLICAS + 1)),
+                "replicas",
+            ),
+            (fleet("replicas = 4294967295"), "replicas"),
+            (fleet("replicas = 4294967296"), "replicas"),
+            (
+                fleet(&format!("requests = {}", MAX_REQUESTS + 1)),
+                "requests",
+            ),
+            (fleet("requests = 4294967295"), "requests"),
+            (llm("duration_s = 1000000.5"), "duration_s"),
+            (llm("duration_s = 1e12"), "duration_s"),
+            (resnet(&(MAX_BATCH + 1).to_string()), "batch sizes"),
+            // Saturates to u64::MAX, which once hung the ResNet cell.
+            (resnet("1e30"), "batch sizes"),
+        ] {
+            let err = parsed.unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { .. }) && err.to_string().contains(key),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_applies_the_range_rules_to_native_specs() {
+        let base = SweepSpec {
+            systems: vec![SystemId::H100Jrdc],
+            rates: vec![8.0],
+            caps: vec![4],
+            ..SweepSpec::new(WorkloadKind::Fleet)
+        };
+        base.check("t").unwrap();
+        let bad = [
+            (
+                SweepSpec {
+                    rates: vec![f64::NAN],
+                    ..base.clone()
+                },
+                "rates",
+            ),
+            (
+                SweepSpec {
+                    replicas: 1,
+                    disagg: true,
+                    ..base.clone()
+                },
+                "disagg",
+            ),
+            (
+                SweepSpec {
+                    precisions: vec![Precision::Int8],
+                    replica_precisions: vec![Precision::F32],
+                    ..base.clone()
+                },
+                "exclusive",
+            ),
+            (
+                SweepSpec {
+                    arrival: ArrivalKind::Bursty {
+                        burst_factor: f64::INFINITY,
+                        mean_burst: 6.0,
+                    },
+                    ..base.clone()
+                },
+                "bursty",
+            ),
+            (
+                SweepSpec {
+                    workload: WorkloadKind::Inference,
+                    batches: vec![1 << 32],
+                    ..base.clone()
+                },
+                "batch sizes",
+            ),
+        ];
+        for (spec, needle) in bad {
+            let err = spec.check("t").unwrap_err().to_string();
+            assert!(err.starts_with("t: ") && err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! as structured [`crate::engine::RunOutcome`] values before being
 //! stringified into the JUBE error column.
 
-use crate::fleet::{FleetBenchmark, RoutePolicy};
 use crate::llm::{LlmBenchmark, FIG2_BATCHES, TABLE2_BATCHES};
 use crate::resnet::{ResnetBenchmark, FIG3_BATCHES};
-use crate::serve::{ArrivalKind, ServeBenchmark, ServePoint};
 use caraml_accel::{DeviceKind, DeviceRegistry, SystemId};
 use jube::{Benchmark, JobRecord, JubeError, Parameter, ParameterSet, RunResult, SlurmSim, Step};
 use std::collections::BTreeMap;
@@ -153,127 +151,6 @@ pub fn resnet50_benchmark() -> Benchmark {
                     format!("{:.2}", run.fom.energy_wh_per_epoch),
                 ),
                 ("images_per_wh", format!("{:.1}", run.fom.images_per_wh)),
-            ]))
-        }))
-}
-
-/// The LLM serving benchmark: a load sweep (arrival rate × batch cap)
-/// per system, with `--tag bursty` switching the arrival process from
-/// Poisson to heavy-tailed bursts at the same mean rate.
-pub fn llm_serving_benchmark() -> Benchmark {
-    Benchmark::new("llm_serving_benchmark")
-        .with_parameter_set(system_parameter_set())
-        .with_parameter_set(
-            ParameterSet::new("load")
-                .with(Parameter::single("model_size", "800M"))
-                .with(Parameter::single("seed", 42))
-                .with(Parameter::sweep("rate_per_s", [4, 32, 128]))
-                .with(Parameter::sweep("batch_cap", [4, 32]))
-                .with(Parameter::single("arrival", "poisson"))
-                .with(Parameter::single("arrival", "bursty").tagged("bursty")),
-        )
-        .with_step(Step::new("serve", |ctx| {
-            let system = SystemId::try_from_tag(ctx.param("system").map_err(stringify)?)
-                .map_err(stringify)?;
-            let mut bench = ServeBenchmark::new(system);
-            bench.config.seed = ctx.parse::<u64>("seed").map_err(stringify)?;
-            if ctx.param("arrival").map_err(stringify)? == "bursty" {
-                bench.config.arrival = ArrivalKind::Bursty {
-                    burst_factor: 8.0,
-                    mean_burst: 6.0,
-                };
-            }
-            let point = ServePoint {
-                rate_per_s: ctx.parse::<f64>("rate_per_s").map_err(stringify)?,
-                batch_cap: ctx.parse::<u32>("batch_cap").map_err(stringify)?,
-            };
-            let fom = bench.run(point).map_err(|e| e.to_string())?;
-            Ok(fom_values(&[
-                ("platform", fom.system.clone()),
-                ("served", fom.served.to_string()),
-                ("shed", fom.shed.to_string()),
-                ("ttft_p50_ms", format!("{:.3}", fom.ttft.p50 * 1000.0)),
-                ("ttft_p99_ms", format!("{:.3}", fom.ttft.p99 * 1000.0)),
-                ("tpot_p99_ms", format!("{:.3}", fom.tpot.p99 * 1000.0)),
-                (
-                    "goodput_tokens_per_s",
-                    format!("{:.1}", fom.goodput_tokens_per_s),
-                ),
-                ("slo_attainment", format!("{:.4}", fom.slo_attainment)),
-                (
-                    "energy_wh_per_ktoken",
-                    format!("{:.5}", fom.energy_wh_per_ktoken),
-                ),
-            ]))
-        }))
-}
-
-/// The fleet serving benchmark: routing policies swept over a bursty
-/// trace per system, with `--tag disagg` splitting the fleet into
-/// prefill and decode pools and `--tag autoscale` enabling the
-/// queue-depth autoscaler.
-pub fn llm_fleet_benchmark() -> Benchmark {
-    Benchmark::new("llm_fleet_benchmark")
-        .with_parameter_set(system_parameter_set())
-        .with_parameter_set(
-            ParameterSet::new("fleet")
-                .with(Parameter::single("seed", 42))
-                .with(Parameter::single("replicas", 4))
-                .with(Parameter::single("rate_per_s", 96))
-                .with(Parameter::single("batch_cap", 16))
-                .with(Parameter::sweep(
-                    "policy",
-                    RoutePolicy::ALL.map(|p| p.tag().to_string()),
-                ))
-                .with(Parameter::single("disagg", "0"))
-                .with(Parameter::single("disagg", "1").tagged("disagg"))
-                .with(Parameter::single("autoscale", "0"))
-                .with(Parameter::single("autoscale", "1").tagged("autoscale")),
-        )
-        .with_step(Step::new("fleet", |ctx| {
-            let system = SystemId::try_from_tag(ctx.param("system").map_err(stringify)?)
-                .map_err(stringify)?;
-            let policy = RoutePolicy::try_from_tag(ctx.param("policy").map_err(stringify)?)
-                .map_err(stringify)?;
-            let mut bench = FleetBenchmark::new(system)
-                .with_policy(policy)
-                .with_replicas(ctx.parse::<u32>("replicas").map_err(stringify)?)
-                .disaggregated(ctx.param("disagg").map_err(stringify)? == "1");
-            bench.config.serve.seed = ctx.parse::<u64>("seed").map_err(stringify)?;
-            bench.config.serve.arrival = ArrivalKind::Bursty {
-                burst_factor: 8.0,
-                mean_burst: 6.0,
-            };
-            if ctx.param("autoscale").map_err(stringify)? == "1" {
-                bench = bench.with_autoscale(crate::fleet::AutoscaleConfig::default());
-            }
-            let point = ServePoint {
-                rate_per_s: ctx.parse::<f64>("rate_per_s").map_err(stringify)?,
-                batch_cap: ctx.parse::<u32>("batch_cap").map_err(stringify)?,
-            };
-            let fom = bench.run(point).map_err(|e| e.to_string())?;
-            Ok(fom_values(&[
-                ("platform", fom.system.clone()),
-                ("served", fom.served.to_string()),
-                ("shed", fom.shed.to_string()),
-                ("replicas_peak", fom.replicas_peak.to_string()),
-                ("ttft_p99_ms", format!("{:.3}", fom.ttft.p99 * 1000.0)),
-                ("tpot_p99_ms", format!("{:.3}", fom.tpot.p99 * 1000.0)),
-                (
-                    "goodput_tokens_per_s",
-                    format!("{:.1}", fom.goodput_tokens_per_s),
-                ),
-                ("slo_attainment", format!("{:.4}", fom.slo_attainment)),
-                (
-                    "energy_wh_per_ktoken",
-                    format!("{:.5}", fom.energy_wh_per_ktoken),
-                ),
-                (
-                    "scale_events",
-                    format!("+{}/-{}", fom.scale_up_events, fom.scale_down_events),
-                ),
-                ("kv_handoffs", fom.kv_handoffs.to_string()),
-                ("prefix_reuse_frac", format!("{:.4}", fom.prefix_reuse_frac)),
             ]))
         }))
 }
@@ -440,108 +317,6 @@ mod tests {
             .unwrap();
         assert_eq!(failed.params["global_batch"], "2048");
         assert!(failed.error.as_ref().unwrap().contains("out of memory"));
-    }
-
-    #[test]
-    fn serving_suite_runs_full_load_grid() {
-        let result = llm_serving_benchmark().run(&tags(&["H100"])).unwrap();
-        // 3 rates × 2 caps.
-        assert_eq!(result.workpackages.len(), 6);
-        assert_eq!(result.failures(), 0);
-        let mut table = result.table(&[
-            "rate_per_s",
-            "batch_cap",
-            "goodput_tokens_per_s",
-            "ttft_p99_ms",
-        ]);
-        table.sort_by_column("rate_per_s");
-        let goodput = table.numeric_column("goodput_tokens_per_s").unwrap();
-        assert!(goodput.iter().all(|&g| g > 0.0));
-        let wp = &result.workpackages[0];
-        assert!(wp.values["platform"].contains("H100"));
-        assert!(wp.values.contains_key("energy_wh_per_ktoken"));
-        assert!(wp.values.contains_key("slo_attainment"));
-    }
-
-    #[test]
-    fn serving_suite_bursty_tag_switches_arrival_process() {
-        let poisson = llm_serving_benchmark().run(&tags(&["A100"])).unwrap();
-        let bursty = llm_serving_benchmark()
-            .run(&tags(&["A100", "bursty"]))
-            .unwrap();
-        assert_eq!(bursty.workpackages.len(), poisson.workpackages.len());
-        assert_eq!(bursty.failures(), 0);
-        assert_eq!(bursty.workpackages[0].params["arrival"], "bursty");
-        // The arrival process must actually change the measured tails
-        // somewhere in the grid.
-        let p99 = |r: &jube::RunResult| -> Vec<String> {
-            r.workpackages
-                .iter()
-                .map(|w| w.values["ttft_p99_ms"].clone())
-                .collect()
-        };
-        assert_ne!(p99(&poisson), p99(&bursty));
-    }
-
-    #[test]
-    fn serving_suite_runs_on_slurm_partition() {
-        let slurm = jube::SlurmSim::new(2);
-        let result = llm_serving_benchmark()
-            .run_on(&slurm, &tags(&["GH200"]), 1)
-            .unwrap();
-        assert_eq!(result.workpackages.len(), 6);
-        assert_eq!(result.failures(), 0);
-        assert_eq!(slurm.records().len(), 6);
-        assert!(slurm
-            .records()
-            .iter()
-            .all(|r| r.state == jube::JobState::Completed));
-    }
-
-    #[test]
-    fn fleet_suite_sweeps_policies_and_tags_switch_modes() {
-        let result = llm_fleet_benchmark().run(&tags(&["H100"])).unwrap();
-        // One workpackage per routing policy.
-        assert_eq!(result.workpackages.len(), 3);
-        assert_eq!(result.failures(), 0);
-        let policies: Vec<&str> = result
-            .workpackages
-            .iter()
-            .map(|w| w.params["policy"].as_str())
-            .collect();
-        assert_eq!(
-            policies,
-            vec!["round-robin", "least-kv-load", "session-affinity"]
-        );
-        let wp = &result.workpackages[0];
-        assert!(wp.values["platform"].contains("H100"));
-        assert!(wp.values.contains_key("energy_wh_per_ktoken"));
-        assert_eq!(wp.values["kv_handoffs"], "0", "unified fleet");
-
-        let disagg = llm_fleet_benchmark()
-            .run(&tags(&["H100", "disagg"]))
-            .unwrap();
-        assert_eq!(disagg.failures(), 0);
-        assert_ne!(disagg.workpackages[0].values["kv_handoffs"], "0");
-
-        let scaled = llm_fleet_benchmark()
-            .run(&tags(&["H100", "autoscale"]))
-            .unwrap();
-        assert_eq!(scaled.failures(), 0);
-        assert!(scaled.workpackages[0].values.contains_key("scale_events"));
-    }
-
-    #[test]
-    fn fleet_suite_sharded_matches_sequential_run_exactly() {
-        let bench = llm_fleet_benchmark();
-        let seq = bench.run(&tags(&["A100"])).unwrap();
-        let (sharded, records) = run_suite_sharded(&bench, &tags(&["A100"]), 3, 3).unwrap();
-        assert_eq!(sharded.workpackages.len(), seq.workpackages.len());
-        for (a, b) in sharded.workpackages.iter().zip(&seq.workpackages) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.values, b.values, "sharded fleet FOMs must match serial");
-        }
-        assert!(records.iter().all(|r| r.state == jube::JobState::Completed));
     }
 
     #[test]

@@ -13,14 +13,13 @@
 //! (§III-A3), so [`SweepRunner::map_sharded`] partitions a grid into
 //! contiguous shards, submits each shard as one multi-node job to a
 //! [`jube::SlurmSim`] partition (node requirement derived from the sweep
-//! points' device counts, or pinned by a [`ShardPlan`]), and merges the
-//! per-shard outcome vectors back in exact grid order. Within a shard the
+//! points' device counts), and merges the per-shard outcome vectors back
+//! in exact grid order. Within a shard the
 //! points run sequentially, so the merged output is bit-identical to
 //! [`SweepRunner::serial`] regardless of the shard count or the
 //! scheduler's interleaving; per-shard queue/run accounting comes back as
 //! [`ShardRecord`]s.
 
-use crate::engine::{self, RunOutcome, Workload};
 use caraml_accel::{NodeConfig, SystemId};
 use jube::{shard_ranges, JobState, SlurmSim};
 use rayon::prelude::*;
@@ -65,28 +64,17 @@ impl NodeDemand for SweepPoint {
 }
 
 /// How a sweep grid is partitioned across a [`SlurmSim`] partition:
-/// `shards` contiguous shards, each submitted as one multi-node job.
+/// `shards` contiguous shards, each submitted as one multi-node job
+/// sized to the widest point in the shard (see [`NodeDemand`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardPlan {
     /// Number of contiguous shards (clamped to the grid size).
     pub shards: usize,
-    /// Fixed node requirement per shard job; `None` derives it from the
-    /// widest point in each shard (see [`NodeDemand`]).
-    pub nodes_per_shard: Option<u32>,
 }
 
 impl ShardPlan {
     pub fn new(shards: usize) -> Self {
-        ShardPlan {
-            shards,
-            nodes_per_shard: None,
-        }
-    }
-
-    /// Pin every shard job to a fixed node count.
-    pub fn with_nodes(mut self, nodes: u32) -> Self {
-        self.nodes_per_shard = Some(nodes);
-        self
+        ShardPlan { shards }
     }
 }
 
@@ -112,17 +100,6 @@ pub struct ShardedSweep<T> {
     pub shards: Vec<ShardRecord>,
 }
 
-impl<T> ShardedSweep<T> {
-    /// Per-shard sums of a metric extracted from each result — e.g. the
-    /// shard's total energy in Wh for the accounting table.
-    pub fn shard_sums(&self, metric: impl Fn(&T) -> f64) -> Vec<f64> {
-        self.shards
-            .iter()
-            .map(|s| self.results[s.range.clone()].iter().map(&metric).sum())
-            .collect()
-    }
-}
-
 /// Executes independent runs across a parameter grid.
 ///
 /// `parallel()` (the default) fans the points out over rayon;
@@ -144,10 +121,6 @@ impl SweepRunner {
         SweepRunner { serial: true }
     }
 
-    pub fn is_parallel(&self) -> bool {
-        !self.serial
-    }
-
     /// Map `f` over `points`, preserving input order.
     pub fn map<P, T, F>(&self, points: Vec<P>, f: F) -> Vec<T>
     where
@@ -162,23 +135,11 @@ impl SweepRunner {
         }
     }
 
-    /// Execute one workload per point through the engine, each in a
-    /// fresh [`engine::RunContext`].
-    pub fn run<P, W, F>(&self, points: Vec<P>, to_workload: F) -> Vec<RunOutcome<W::Output>>
-    where
-        P: Send,
-        W: Workload,
-        W::Output: Send,
-        F: Fn(P) -> W + Sync,
-    {
-        self.map(points, |p| engine::execute(&to_workload(p)))
-    }
-
     /// Map `f` over `points` sharded across a [`SlurmSim`] partition:
     /// contiguous shards, one multi-node job per shard (node requirement
     /// = the widest point in the shard per [`NodeDemand`], clamped to
-    /// the partition, unless pinned by the plan), results merged back in
-    /// exact grid order — bit-identical to [`SweepRunner::serial`].
+    /// the partition), results merged back in exact grid order —
+    /// bit-identical to [`SweepRunner::serial`].
     pub fn map_sharded<P, T, F>(
         &self,
         slurm: &Arc<SlurmSim>,
@@ -215,8 +176,11 @@ impl SweepRunner {
         let shard_nodes: Vec<u32> = ranges
             .iter()
             .map(|r| {
-                plan.nodes_per_shard
-                    .unwrap_or_else(|| points[r.clone()].iter().map(&nodes_of).max().unwrap_or(1))
+                points[r.clone()]
+                    .iter()
+                    .map(&nodes_of)
+                    .max()
+                    .unwrap_or(1)
                     .clamp(1, slurm.total_nodes())
             })
             .collect();
@@ -265,26 +229,6 @@ impl SweepRunner {
             });
         }
         ShardedSweep { results, shards }
-    }
-
-    /// Execute one workload per point through the engine, sharded across
-    /// a [`SlurmSim`] partition (see [`SweepRunner::map_sharded`]).
-    pub fn run_sharded<P, W, F>(
-        &self,
-        slurm: &Arc<SlurmSim>,
-        plan: ShardPlan,
-        points: Vec<P>,
-        to_workload: F,
-    ) -> ShardedSweep<RunOutcome<W::Output>>
-    where
-        P: NodeDemand + Send + 'static,
-        W: Workload,
-        W::Output: Send + 'static,
-        F: Fn(P) -> W + Send + Sync + 'static,
-    {
-        self.map_sharded(slurm, plan, points, move |p| {
-            engine::execute(&to_workload(p))
-        })
     }
 }
 
@@ -394,32 +338,5 @@ mod tests {
         assert_eq!(sharded.results, vec![1, 8, 64]);
         let nodes: Vec<u32> = sharded.shards.iter().map(|s| s.nodes).collect();
         assert_eq!(nodes, vec![1, 2, 2]);
-        // An explicit plan overrides the derived demand.
-        let points = vec![SweepPoint {
-            system: SystemId::A100,
-            devices: 8,
-            batch: 16,
-        }];
-        let pinned = SweepRunner::parallel().map_sharded(
-            &slurm,
-            ShardPlan::new(1).with_nodes(1),
-            points,
-            |p| p.devices,
-        );
-        assert_eq!(pinned.shards[0].nodes, 1);
-    }
-
-    #[test]
-    fn shard_sums_aggregate_per_shard() {
-        let slurm = SlurmSim::new(2);
-        let sharded = SweepRunner::parallel().map_sharded_with(
-            &slurm,
-            ShardPlan::new(2),
-            vec![1.0f64, 2.0, 3.0, 4.0, 5.0],
-            |_| 1,
-            |x| x,
-        );
-        // 5 points in 2 shards: [1,2,3] and [4,5].
-        assert_eq!(sharded.shard_sums(|&x| x), vec![6.0, 9.0]);
     }
 }

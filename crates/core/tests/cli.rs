@@ -184,6 +184,41 @@ fn fleet_zero_replicas_rejected() {
 }
 
 #[test]
+fn fleet_load_point_out_of_range_exits_2_before_running() {
+    // Each of these once printed a table of FAIL rows and exited 0.
+    for flags in [
+        ["--rate", "-5"],
+        ["--rate", "NaN"],
+        ["--rate", "inf"],
+        ["--cap", "0"],
+    ] {
+        let out = caraml()
+            .args(["fleet", "H100"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flags[0].trim_start_matches('-')),
+            "{flags:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn serve_unparsable_seed_exits_2_naming_the_flag() {
+    let out = caraml()
+        .args(["serve", "H100", "--seed", "abc"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed"), "stderr: {stderr}");
+}
+
+#[test]
 fn fleet_precision_ladder_parses_comma_list_and_rejects_unknown_tier() {
     // A comma-separated --precision builds a heterogeneous fleet; the
     // json output reports the base precision while each replica runs

@@ -257,8 +257,9 @@ fn fold_point(h: &mut Fnv1a, b: &ServeBenchmark, p: caraml::ServePoint) {
 
 /// Every committed serving configuration, folded into one FNV-1a-64
 /// constant: this file's grid, the `examples/scenario.toml` serve sweep,
-/// the suite's serving grid on each committed GPU system, and three
-/// short 256-request traces (Poisson at 64 and 256 req/s, bursty at
+/// a 3-rate × 2-cap grid (4, 32 and 128 req/s × caps 4 and 32, seed 42,
+/// Poisson and bursty) on each committed GPU system, and three short
+/// 256-request traces (Poisson at 64 and 256 req/s, bursty at
 /// 64 req/s). Unlike the run-against-itself tests above,
 /// this pins absolute bits, so any change to the serving arithmetic has
 /// to name the configuration it moved and re-pin the constant.
@@ -286,7 +287,7 @@ fn committed_serve_configurations_match_the_golden_checksum() {
         burst_factor: 8.0,
         mean_burst: 6.0,
     };
-    // The suite serves on any GPU tag: pin the seven committed ones, so
+    // Serving runs on any GPU tag: pin the seven committed ones, so
     // adding a device file adds configurations instead of moving these.
     for tag in [
         "JEDI", "GH200", "H100", "WAIH100", "MI250", "A100", "EDGERV",

@@ -177,13 +177,13 @@ pub fn sample_virtual(
     }
 }
 
-/// A reusable meter handle over a fixed set of power sources.
+/// A meter handle over a fixed set of power sources.
 ///
-/// The benchmark engine creates one meter per run context and re-samples
-/// it for every measurement window (sweep points re-use the handle
-/// instead of rebuilding the source list); the registers are shared with
-/// the simulated devices, so phases recorded after the meter was created
-/// are still visible to later samples.
+/// The benchmark engine builds one meter per run, after the run's phases,
+/// and samples it once over the measurement window. The registers are
+/// shared with the simulated devices, so a sample sees every phase
+/// recorded before it, including phases recorded after the meter was
+/// created.
 #[derive(Debug, Clone)]
 pub struct PowerMeasurement {
     sources: Vec<(String, String, PowerRegister)>,

@@ -8,7 +8,7 @@
 //! ```
 
 use caraml_suite::caraml::report::render_heatmap;
-use caraml_suite::caraml::resnet::{ResnetBenchmark, FIG4_BATCHES};
+use caraml_suite::caraml::resnet::{fig4_devices, ResnetBenchmark, FIG4_BATCHES};
 use caraml_suite::caraml_accel::{NodeConfig, SystemId};
 
 fn main() {
@@ -20,13 +20,7 @@ fn main() {
         std::process::exit(2);
     };
     let node = NodeConfig::for_system(sys);
-    let max_dev = (node.devices_per_node * node.max_nodes.min(2)).max(1);
-    let mut devices = Vec::new();
-    let mut d = 1u32;
-    while d <= max_dev {
-        devices.push(d);
-        d *= 2;
-    }
+    let devices = fig4_devices(sys);
     let grid = ResnetBenchmark::heatmap(sys, &devices, &FIG4_BATCHES);
     println!(
         "{}",

@@ -3,9 +3,11 @@
 # Full local gate: formatting, lints as errors on every target (tests
 # included), the test suite, the benchmark's own tests (they run every
 # workload end to end, so a kernel change that breaks a decode output
-# check fails here), and the tensor suite re-run with the SIMD
-# dispatcher forced to the scalar arm — the portability fallback must
-# stay green, not just compile.
+# check fails here), and the tensor, model and serving determinism
+# suites re-run with the SIMD dispatcher forced to the scalar arm — the
+# portability fallback must stay green, not just compile, and the
+# serving FOM bits must not depend on the dispatch arm. `cargo test -q`
+# already runs the rest of `test-serving`.
 verify:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -13,9 +15,9 @@ verify:
     cargo test --manifest-path perfbench/Cargo.toml
     just check-devices
     just check-scenario
-    just test-serving
     CARAML_SIMD=off cargo test -q -p caraml-tensor
     CARAML_SIMD=off cargo test -q -p caraml-models
+    CARAML_SIMD=off cargo test -q -p caraml --test serve_determinism --test fleet_determinism
 
 # Load + validate every embedded device TOML through the registry and
 # diff the rendered `caraml devices` table against the committed golden
@@ -58,9 +60,9 @@ figures:
 # checksum — the latter re-run with the SIMD dispatcher forced off,
 # since the serving FOM bits must not depend on the dispatch arm.
 # `cargo test -q` already runs every workspace member's tests (the root
-# manifest's `default-members` lists them all); `verify` calls this
-# recipe for the SIMD-off re-run. The SlurmSim coverage lives in
-# `test-sched`.
+# manifest's `default-members` lists them all), so `verify` runs only
+# the SIMD-off re-run; this recipe is the targeted slice for serving
+# work. The SlurmSim coverage lives in `test-sched`.
 test-serving:
     cargo test -p caraml --lib serve -q
     cargo test -p caraml --lib fleet -q
