@@ -11,36 +11,47 @@
 //! marked as an extension.
 
 use caraml::report::render_serve_table;
-use caraml::serve::{load_grid, ArrivalKind, ServeBenchmark};
-use caraml::SweepRunner;
+use caraml::scenario::{CellFom, Scenario, SweepSpec, WorkloadKind, BURSTY, DEFAULT_SEED};
+use caraml::serve::ArrivalKind;
 use caraml_accel::{NodeConfig, SystemId};
+
+/// Print the load grid of one system and arrival process, run as a
+/// serve sweep through the scenario executor.
+fn load_table(title: &str, sys: SystemId, arrival: ArrivalKind) {
+    let scenario = Scenario {
+        name: "bench_serve".into(),
+        seed: DEFAULT_SEED,
+        sweeps: vec![SweepSpec {
+            systems: vec![sys],
+            rates: vec![4.0, 32.0, 128.0],
+            caps: vec![4, 32],
+            arrival,
+            ..SweepSpec::new(WorkloadKind::Serve)
+        }],
+    };
+    let outcomes: Vec<_> = scenario
+        .execute()
+        .swap_remove(0)
+        .into_iter()
+        .map(|(_, outcome)| outcome.map(CellFom::into_serve))
+        .collect();
+    println!("{}\n", render_serve_table(title, &outcomes));
+}
 
 fn main() {
     println!("EXTENSION — LLM serving under load (800M GPT, 160-request seeded traces)\n");
-    let rates = [4.0, 32.0, 128.0];
-    let caps = [4, 32];
     for sys in [SystemId::A100, SystemId::H100Jrdc, SystemId::Gh200Jrdc] {
-        let platform = NodeConfig::shared(sys).platform.clone();
-        let bench = ServeBenchmark::new(sys);
-        let outcomes = bench.sweep(SweepRunner::parallel(), load_grid(&rates, &caps));
-        println!(
-            "{}\n",
-            render_serve_table(&format!("{platform} — Poisson arrivals"), &outcomes)
+        let platform = &NodeConfig::shared(sys).platform;
+        load_table(
+            &format!("{platform} — Poisson arrivals"),
+            sys,
+            ArrivalKind::Poisson,
         );
     }
-
-    let mut bursty = ServeBenchmark::new(SystemId::H100Jrdc);
-    bursty.config.arrival = ArrivalKind::Bursty {
-        burst_factor: 8.0,
-        mean_burst: 6.0,
-    };
-    let outcomes = bursty.sweep(SweepRunner::parallel(), load_grid(&rates, &caps));
-    println!(
-        "{}\n",
-        render_serve_table(
-            "H100 (JRDC) — bursty arrivals (same mean rates, 8x burst intensity)",
-            &outcomes
-        )
+    load_table(
+        "H100 (JRDC) — bursty arrivals (same mean rates, 8x burst intensity)",
+        SystemId::H100Jrdc,
+        BURSTY,
     );
     println!(
         "Identical seeds reproduce every number bit-for-bit; the parallel sweep is\n\

@@ -5,9 +5,9 @@
 //! Not a figure in the paper — clearly marked as an extension.
 
 use caraml::inference::InferenceBenchmark;
-use caraml::SweepRunner;
 use caraml_accel::SystemId;
 use jube::ResultTable;
+use rayon::prelude::*;
 
 fn main() {
     println!("EXTENSION — LLM inference (800M GPT, 512-token prompts, 128 generated)\n");
@@ -36,32 +36,35 @@ fn main() {
             points.push((sys, batch));
         }
     }
-    let rows = SweepRunner::parallel().map(points, |(sys, batch)| {
-        match InferenceBenchmark::new(sys).run(batch) {
-            Ok(fom) => vec![
-                fom.system.clone(),
-                batch.to_string(),
-                format!("{:.1}", fom.ttft_s * 1e3),
-                format!("{:.0}", fom.decode_tokens_per_s),
-                if fom.decode_memory_bound {
-                    "memory"
-                } else {
-                    "compute"
-                }
-                .into(),
-                format!("{:.4}", fom.energy_wh_per_ktoken),
-            ],
-            Err(e) if e.is_oom() => vec![
-                caraml_accel::NodeConfig::shared(sys).platform.clone(),
-                batch.to_string(),
-                "-".into(),
-                "OOM".into(),
-                "kv-cache".into(),
-                "-".into(),
-            ],
-            Err(e) => panic!("{e}"),
-        }
-    });
+    let rows: Vec<Vec<String>> = points
+        .into_par_iter()
+        .map(
+            |(sys, batch)| match InferenceBenchmark::new(sys).run(batch) {
+                Ok(fom) => vec![
+                    fom.system.clone(),
+                    batch.to_string(),
+                    format!("{:.1}", fom.ttft_s * 1e3),
+                    format!("{:.0}", fom.decode_tokens_per_s),
+                    if fom.decode_memory_bound {
+                        "memory"
+                    } else {
+                        "compute"
+                    }
+                    .into(),
+                    format!("{:.4}", fom.energy_wh_per_ktoken),
+                ],
+                Err(e) if e.is_oom() => vec![
+                    caraml_accel::NodeConfig::shared(sys).platform.clone(),
+                    batch.to_string(),
+                    "-".into(),
+                    "OOM".into(),
+                    "kv-cache".into(),
+                    "-".into(),
+                ],
+                Err(e) => panic!("{e}"),
+            },
+        )
+        .collect();
     for row in rows {
         table.push_row(row);
     }

@@ -6,10 +6,10 @@
 //! and aggregate tokens/s. Not a figure in the paper — an extension.
 
 use caraml::llm_large::LargeModelBenchmark;
-use caraml::SweepRunner;
 use caraml_accel::SystemId;
 use caraml_models::GptConfig;
 use jube::ResultTable;
+use rayon::prelude::*;
 
 fn main() {
     println!("EXTENSION — 13B GPT scaling on JEDI (4x GH200 per node)\n");
@@ -27,36 +27,39 @@ fn main() {
         .map(|s| s.to_string())
         .collect(),
     );
-    let rows = SweepRunner::parallel().map(vec![1u32, 2, 4, 8, 16], |nodes| {
-        let mut bench = LargeModelBenchmark::new(SystemId::Jedi, GptConfig::gpt_13b(), nodes);
-        bench.duration_s = 600.0;
-        let devices = 4 * nodes;
-        // Keep a constant, launchable global batch per layout.
-        let batch = 512u64.max(u64::from(devices) * 4);
-        match bench.run(batch) {
-            Ok(run) => vec![
-                nodes.to_string(),
-                devices.to_string(),
-                run.layout.to_string(),
-                format!("{:.1}", run.bubble_fraction * 100.0),
-                format!("{:.0}", run.fom.tokens_per_s_per_device),
-                format!(
-                    "{:.0}",
-                    run.fom.tokens_per_s_per_device * f64::from(devices)
-                ),
-                format!("{:.0}", run.fom.tokens_per_wh),
-            ],
-            Err(e) => vec![
-                nodes.to_string(),
-                devices.to_string(),
-                format!("error: {e}"),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ],
-        }
-    });
+    let rows: Vec<Vec<String>> = vec![1u32, 2, 4, 8, 16]
+        .into_par_iter()
+        .map(|nodes| {
+            let mut bench = LargeModelBenchmark::new(SystemId::Jedi, GptConfig::gpt_13b(), nodes);
+            bench.duration_s = 600.0;
+            let devices = 4 * nodes;
+            // Keep a constant, launchable global batch per layout.
+            let batch = 512u64.max(u64::from(devices) * 4);
+            match bench.run(batch) {
+                Ok(run) => vec![
+                    nodes.to_string(),
+                    devices.to_string(),
+                    run.layout.to_string(),
+                    format!("{:.1}", run.bubble_fraction * 100.0),
+                    format!("{:.0}", run.fom.tokens_per_s_per_device),
+                    format!(
+                        "{:.0}",
+                        run.fom.tokens_per_s_per_device * f64::from(devices)
+                    ),
+                    format!("{:.0}", run.fom.tokens_per_wh),
+                ],
+                Err(e) => vec![
+                    nodes.to_string(),
+                    devices.to_string(),
+                    format!("error: {e}"),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                    "-".into(),
+                ],
+            }
+        })
+        .collect();
     for row in rows {
         table.push_row(row);
     }

@@ -8,23 +8,26 @@
 
 use caraml::llm::FIG2_BATCHES;
 use caraml::report::{ratio_line, render_panel};
-use caraml::SweepRunner;
 use caraml_bench::{fig2_variants, peak, peak_efficiency, PanelSeries};
+use rayon::prelude::*;
 
 fn main() {
-    let runner = SweepRunner::parallel();
     let mut all = Vec::new();
     for (label, bench) in fig2_variants() {
         eprintln!("running {label} ...");
-        let points = runner.map(FIG2_BATCHES.to_vec(), |batch| {
-            bench.run(batch).ok().map(|run| {
-                (
-                    run.fom.tokens_per_s_per_device,
-                    run.fom.energy_wh_per_device,
-                    run.fom.tokens_per_wh,
-                )
+        let points: Vec<_> = FIG2_BATCHES
+            .to_vec()
+            .into_par_iter()
+            .map(|batch| {
+                bench.run(batch).ok().map(|run| {
+                    (
+                        run.fom.tokens_per_s_per_device,
+                        run.fom.energy_wh_per_device,
+                        run.fom.tokens_per_wh,
+                    )
+                })
             })
-        });
+            .collect();
         let mut series = PanelSeries::new(&label);
         for (&batch, point) in FIG2_BATCHES.iter().zip(points) {
             series.push(batch, point);

@@ -7,23 +7,26 @@
 
 use caraml::report::render_panel;
 use caraml::resnet::FIG3_BATCHES;
-use caraml::SweepRunner;
 use caraml_bench::{fig3_variants, peak_efficiency, PanelSeries};
+use rayon::prelude::*;
 
 fn main() {
-    let runner = SweepRunner::parallel();
     let mut all = Vec::new();
     for (label, bench) in fig3_variants() {
         eprintln!("running {label} ...");
-        let points = runner.map(FIG3_BATCHES.to_vec(), |batch| {
-            bench.run(batch).ok().map(|run| {
-                (
-                    run.fom.images_per_s,
-                    run.fom.energy_wh_per_epoch,
-                    run.fom.images_per_wh,
-                )
+        let points: Vec<_> = FIG3_BATCHES
+            .to_vec()
+            .into_par_iter()
+            .map(|batch| {
+                bench.run(batch).ok().map(|run| {
+                    (
+                        run.fom.images_per_s,
+                        run.fom.energy_wh_per_epoch,
+                        run.fom.images_per_wh,
+                    )
+                })
             })
-        });
+            .collect();
         let mut series = PanelSeries::new(&label);
         for (&batch, point) in FIG3_BATCHES.iter().zip(points) {
             series.push(batch, point);
@@ -32,17 +35,21 @@ fn main() {
     }
     // The Graphcore IPU appears in the paper's Fig. 3 discussion through
     // Table III; include it for the efficiency comparison.
-    let ipu_points = runner.map(FIG3_BATCHES.to_vec(), |batch| {
-        caraml::resnet::ResnetBenchmark::run_ipu(batch, 1.0)
-            .ok()
-            .map(|run| {
-                (
-                    run.fom.images_per_s,
-                    run.fom.energy_wh_per_epoch,
-                    run.fom.images_per_wh,
-                )
-            })
-    });
+    let ipu_points: Vec<_> = FIG3_BATCHES
+        .to_vec()
+        .into_par_iter()
+        .map(|batch| {
+            caraml::resnet::ResnetBenchmark::run_ipu(batch, 1.0)
+                .ok()
+                .map(|run| {
+                    (
+                        run.fom.images_per_s,
+                        run.fom.energy_wh_per_epoch,
+                        run.fom.images_per_wh,
+                    )
+                })
+        })
+        .collect();
     let mut ipu = PanelSeries::new("Graphcore GC200");
     for (&batch, point) in FIG3_BATCHES.iter().zip(ipu_points) {
         ipu.push(batch, point);

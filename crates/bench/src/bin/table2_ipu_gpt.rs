@@ -5,8 +5,8 @@
 //! outlier (see EXPERIMENTS.md); all other rows match within ~3 %.
 
 use caraml::llm::{LlmBenchmark, TABLE2_BATCHES};
-use caraml::SweepRunner;
 use jube::ResultTable;
+use rayon::prelude::*;
 
 const PAPER: [(u64, f64, f64, f64); 9] = [
     (64, 64.99, 15.68, 4.08),
@@ -35,9 +35,11 @@ fn main() {
         .map(|s| s.to_string())
         .collect(),
     );
-    let runs = SweepRunner::parallel().map(TABLE2_BATCHES.to_vec(), |batch| {
-        LlmBenchmark::run_ipu(batch, 1.0).expect("ipu run")
-    });
+    let runs: Vec<_> = TABLE2_BATCHES
+        .to_vec()
+        .into_par_iter()
+        .map(|batch| LlmBenchmark::run_ipu(batch, 1.0).expect("ipu run"))
+        .collect();
     for ((&batch, paper), run) in TABLE2_BATCHES.iter().zip(PAPER.iter()).zip(runs) {
         table.push_row(vec![
             batch.to_string(),

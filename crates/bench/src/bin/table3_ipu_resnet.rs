@@ -5,8 +5,8 @@
 //! timings, as in the paper.
 
 use caraml::resnet::{ResnetBenchmark, TABLE3_BATCHES};
-use caraml::SweepRunner;
 use jube::ResultTable;
+use rayon::prelude::*;
 
 const PAPER: [(u64, f64, f64, f64); 9] = [
     (16, 1827.72, 32.09, 39925.87),
@@ -35,9 +35,11 @@ fn main() {
         .map(|s| s.to_string())
         .collect(),
     );
-    let runs = SweepRunner::parallel().map(TABLE3_BATCHES.to_vec(), |batch| {
-        ResnetBenchmark::run_ipu(batch, 0.5).expect("ipu run")
-    });
+    let runs: Vec<_> = TABLE3_BATCHES
+        .to_vec()
+        .into_par_iter()
+        .map(|batch| ResnetBenchmark::run_ipu(batch, 0.5).expect("ipu run"))
+        .collect();
     for ((&batch, paper), run) in TABLE3_BATCHES.iter().zip(PAPER.iter()).zip(runs) {
         table.push_row(vec![
             batch.to_string(),

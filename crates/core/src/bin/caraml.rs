@@ -25,11 +25,12 @@
 
 use caraml::continuous::{default_label, History, Verdict};
 use caraml::fleet::RoutePolicy;
+use caraml::fom::HeatmapCell;
 use caraml::report::{
-    render_device_table, render_fleet_table, render_heatmap, render_precision_table,
-    render_scenario_outcome, render_serve_table, render_shard_table, render_trend_report,
+    render_device_table, render_fleet_table, render_heatmap, render_job_table,
+    render_precision_table, render_scenario_outcome, render_serve_table, render_trend_report,
 };
-use caraml::resnet::{fig4_devices, ResnetBenchmark, FIG4_BATCHES};
+use caraml::resnet::{fig4_devices, grid, ResnetBenchmark, FIG4_BATCHES};
 use caraml::scenario::{
     check_against_native, CellFom, Scenario, SweepSpec, WorkloadKind, BURSTY, DEFAULT_SEED,
 };
@@ -37,9 +38,8 @@ use caraml::serve::{load_grid, ArrivalKind, ServeBenchmark};
 use caraml::suite::{
     llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark, run_suite_sharded,
 };
-use caraml::sweep::{grid, ShardPlan};
 use caraml::trend::{analyze, TrendConfig};
-use caraml::{FleetFom, RunOutcome, ServeFom, SweepRunner};
+use caraml::{FleetFom, RunOutcome, ServeFom};
 use caraml_accel::{calibrate, DeviceKind, DeviceRegistry, NodeConfig, Precision, SystemId};
 use caraml_tensor::simd;
 use jube::SlurmSim;
@@ -285,24 +285,10 @@ fn lower_fleet(tag: &str, flags: &[String]) -> Result<Scenario, String> {
 /// Run a lowered scenario: each sweep's typed cell outcomes.
 fn cell_outcomes(scenario: &Scenario) -> Vec<Vec<RunOutcome<CellFom>>> {
     scenario
-        .execute(SweepRunner::parallel())
+        .execute()
         .into_iter()
         .map(|cells| cells.into_iter().map(|(_, outcome)| outcome).collect())
         .collect()
-}
-
-fn serve_fom(fom: CellFom) -> ServeFom {
-    match fom {
-        CellFom::Serve(fom) => fom,
-        other => unreachable!("a serve sweep yielded {other:?}"),
-    }
-}
-
-fn fleet_fom(fom: CellFom) -> FleetFom {
-    match fom {
-        CellFom::Fleet(fom) => fom,
-        other => unreachable!("a fleet sweep yielded {other:?}"),
-    }
 }
 
 /// Render a precision comparison sweep: Wh/ktoken per tier and ratios
@@ -311,7 +297,7 @@ fn precision_table(spec: &SweepSpec, seed: u64, cells: Vec<RunOutcome<CellFom>>)
     let foms: Vec<ServeFom> = cells
         .into_iter()
         .filter_map(RunOutcome::completed)
-        .map(serve_fom)
+        .map(CellFom::into_serve)
         .collect();
     render_precision_table(
         &format!(
@@ -323,6 +309,53 @@ fn precision_table(spec: &SweepSpec, seed: u64, cells: Vec<RunOutcome<CellFom>>)
         ),
         &foms,
     )
+}
+
+/// The flags each subcommand takes; `None` for an unknown subcommand.
+fn flags_of(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "systems" | "inference" => &[],
+        "devices" => &["--json", "--check"],
+        "calibrate" => &["-o", "--output"],
+        "run" => &["--tag", "--shards", "--nodes"],
+        "suite" | "heatmap" => &["--shards", "--nodes", "--precision"],
+        "serve" => &["--bursty", "--seed", "--precision"],
+        "fleet" => &[
+            "--replicas",
+            "--policy",
+            "--precision",
+            "--rate",
+            "--cap",
+            "--seed",
+            "--bursty",
+            "--disagg",
+            "--autoscale",
+            "--json",
+        ],
+        "scenario" => &["--check", "--json", "--history", "--label"],
+        "trend" => &["--history", "--json", "--window", "--gate", "--tolerance"],
+        _ => return None,
+    })
+}
+
+/// Reject the first flag `command` does not take, before any lowering.
+/// A flag is a token that starts with `-` and is not a number, so a
+/// negative value such as `--rate -5` still reaches its range check.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(allowed) = flags_of(command) else {
+        return Ok(());
+    };
+    match args
+        .iter()
+        .find(|a| a.starts_with('-') && a.parse::<f64>().is_err() && !allowed.contains(&a.as_str()))
+    {
+        None => Ok(()),
+        Some(flag) if allowed.is_empty() => Err(format!("{command} takes no flags, got `{flag}`")),
+        Some(flag) => Err(format!(
+            "{command} does not take `{flag}` (flags: {})",
+            allowed.join(", ")
+        )),
+    }
 }
 
 /// Print a flag error and exit 2.
@@ -339,27 +372,6 @@ fn shard_options(args: &[String]) -> Result<Option<(usize, u32)>, String> {
     Ok(shards
         .map(|s| (s.max(1), nodes.unwrap_or(s as u32).max(1)))
         .or_else(|| nodes.map(|n| (n as usize, n.max(1)))))
-}
-
-/// Render the scheduler's per-job accounting for a sharded suite run.
-fn render_job_accounting(title: &str, records: &[jube::JobRecord]) -> String {
-    let mut table = jube::ResultTable::new(
-        ["job", "name", "nodes", "state", "queue_s", "run_s"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
-    for r in records {
-        table.push_row(vec![
-            r.id.to_string(),
-            r.name.clone(),
-            r.nodes.to_string(),
-            format!("{:?}", r.state),
-            format!("{:.4}", r.queue_s),
-            format!("{:.4}", r.run_s),
-        ]);
-    }
-    format!("{title}\n{}", table.to_ascii())
 }
 
 fn run_suite(which: &str, tags: &[String], shard_opts: Option<(usize, u32)>) -> ExitCode {
@@ -406,7 +418,7 @@ fn run_suite(which: &str, tags: &[String], shard_opts: Option<(usize, u32)>) -> 
             run_suite_sharded(&benchmark, tags, shards, nodes).map(|(result, records)| {
                 (
                     result,
-                    Some(render_job_accounting(
+                    Some(render_job_table(
                         &format!("shard dispatch ({nodes}-node partition)"),
                         &records,
                     )),
@@ -489,7 +501,7 @@ fn run_full_suite(
                 );
                 println!(
                     "{}",
-                    render_job_accounting(
+                    render_job_table(
                         &format!("shard dispatch ({nodes}-node partition)"),
                         &records
                     )
@@ -538,24 +550,30 @@ fn run_heatmap(
             // Multi-node dispatch: shard the Fig. 4 grid over a simulated
             // partition, node demand taken from each point's device count.
             let slurm = SlurmSim::new(nodes);
-            let sharded = SweepRunner::parallel().map_sharded(
-                &slurm,
-                ShardPlan::new(shards),
+            let cells = slurm.map_shards(
+                "heatmap",
                 grid(sys, &devices, &FIG4_BATCHES),
+                shards,
+                |p| NodeConfig::shared(p.system).nodes_for(p.devices),
                 |p| ResnetBenchmark::heatmap_cell(p.system, p.devices, p.batch),
             );
             println!(
                 "{}",
-                render_shard_table(
+                render_job_table(
                     &format!("shard dispatch ({nodes}-node partition)"),
-                    &sharded.shards
+                    &slurm.wait_all()
                 )
             );
-            sharded
-                .results
-                .chunks(FIG4_BATCHES.len())
-                .map(<[caraml::fom::HeatmapCell]>::to_vec)
-                .collect()
+            match cells {
+                Ok(cells) => cells
+                    .chunks(FIG4_BATCHES.len())
+                    .map(<[HeatmapCell]>::to_vec)
+                    .collect(),
+                Err(e) => {
+                    eprintln!("caraml: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
         None => ResnetBenchmark::heatmap(sys, &devices, &FIG4_BATCHES),
     };
@@ -626,7 +644,7 @@ fn run_serve(scenario: &Scenario) -> ExitCode {
         .next()
         .unwrap_or_default()
         .into_iter()
-        .map(|outcome| outcome.map(serve_fom))
+        .map(|outcome| outcome.map(CellFom::into_serve))
         .collect();
     println!(
         "{}",
@@ -672,7 +690,7 @@ fn run_fleet(scenario: &Scenario, json: bool) -> ExitCode {
     let outcomes: Vec<RunOutcome<FleetFom>> = cell_outcomes(scenario)
         .swap_remove(0)
         .into_iter()
-        .map(|outcome| outcome.map(fleet_fom))
+        .map(|outcome| outcome.map(CellFom::into_fleet))
         .collect();
     if json {
         let foms: Vec<_> = outcomes.iter().filter_map(|o| o.as_completed()).collect();
@@ -724,7 +742,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let outcome = match scenario.run(SweepRunner::parallel()) {
+    let outcome = match scenario.run() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("caraml: {e}");
@@ -733,14 +751,22 @@ fn run_scenario(args: &[String]) -> ExitCode {
     };
     if args.iter().any(|a| a == "--check") {
         // Spec half: the parsed file must equal the Rust-constructed
-        // twin. Metric half: the twin's run (serial, to also witness
-        // execution-order independence) must be bit-identical.
+        // twin. Metric half: the twin's run (on a one-worker pool, to
+        // also witness execution-order independence) must be
+        // bit-identical.
         let native = Scenario::example();
         if let Err(e) = check_against_native(&scenario, &native) {
             eprintln!("caraml: scenario check failed: {e}");
             return ExitCode::FAILURE;
         }
-        let native_outcome = match native.run(SweepRunner::serial()) {
+        let one_worker = match rayon::ThreadPoolBuilder::new().num_threads(1).build() {
+            Ok(pool) => pool,
+            Err(e) => {
+                eprintln!("caraml: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let native_outcome = match one_worker.install(|| native.run()) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("caraml: native twin failed: {e}");
@@ -1006,6 +1032,11 @@ fn run_calibrate(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(command) = args.first() {
+        if let Err(e) = check_flags(command, &args[1..]) {
+            return flag_error(e);
+        }
+    }
     match args.first().map(String::as_str) {
         Some("systems") => {
             let mut table = jube::ResultTable::new(
@@ -1084,9 +1115,11 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    /// Real flags, and values that are negative, zero, non-finite, past
-    /// `u32::MAX`, empty, or another flag.
+    /// Real flags, a misspelled one (`--rates`), and values that are
+    /// negative, zero, non-finite, past `u32::MAX`, empty, or another
+    /// flag.
     const WORDS: &[&str] = &[
+        "--rates",
         "--replicas",
         "--policy",
         "--precision",
@@ -1135,14 +1168,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
         /// Flag handling never panics and runs no cell: every call
-        /// returns `Ok` or an error message, and a scenario lowered `Ok`
-        /// passes the scenario file's range rules.
+        /// returns `Ok` or an error message, a scenario lowered `Ok`
+        /// passes the scenario file's range rules, and no subcommand
+        /// takes the misspelled flag.
         #[test]
         fn flag_handling_returns_ok_or_an_error_for_any_argument_list(
             tag in prop::sample::select(TAGS),
             words in prop::collection::vec(prop::sample::select(WORDS), 0..8),
         ) {
             let flags = argv(&words);
+            for command in [
+                "systems", "devices", "calibrate", "run", "suite", "heatmap", "inference",
+                "serve", "fleet", "scenario", "trend",
+            ] {
+                match check_flags(command, &flags) {
+                    Ok(()) => prop_assert!(!words.contains(&"--rates"), "{command} {words:?}"),
+                    Err(e) => prop_assert!(!e.is_empty(), "{command} {words:?}"),
+                }
+            }
             for lowered in [
                 lower_inference(tag),
                 lower_serve(tag, &flags),
@@ -1281,6 +1324,7 @@ batches = [1, 4, 16, 64]
             &["--cap", "0"],
             &["--seed", "abc"],
             &["--replicas", "1", "--disagg"],
+            &["--rate", "1e-8", "--autoscale"],
         ] {
             let err = lower_fleet("H100", &argv(flags)).unwrap_err();
             assert!(

@@ -17,8 +17,8 @@
 //! *plans* (step 1, pure cost-model math) and *finishes* (step 4, pure
 //! FOM arithmetic); the engine owns the node and meter lifecycle in
 //! between. [`RunContext`] is the only place in the crate that
-//! constructs a node or a power meter, and the [`crate::sweep`] module
-//! executes many plans across a parameter grid in parallel.
+//! constructs a node or a power meter; a parameter grid executes many
+//! plans in parallel through rayon's ordered `into_par_iter()`.
 
 use caraml_accel::{AccelError, NodeConfig, PhaseKind, SimDevice, SimNode, SystemId, Timeline};
 use jpwr::{Measurement, PowerMeasurement};

@@ -34,22 +34,19 @@
 //! affinity stickiness, budget-aware least-load routing, autoscaler
 //! hysteresis, and the prefix-reuse bound.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome};
+use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
 use crate::fom::FleetFom;
 use crate::serve::{
     arrival_trace, Request, RequestOutcome, RequestRecord, RequestSummary, ServeBenchmark,
     ServeConfig, ServePoint, ShedReason, SloClass,
 };
-use crate::sweep::{ShardPlan, ShardedSweep, SweepRunner};
 use caraml_accel::spec::{DeviceSpec, Workload as SpecWorkload};
 use caraml_accel::{
     AccelError, KernelProfile, Link, NodeConfig, PhaseKind, Precision, RooflineModel, SystemId,
 };
-use jube::SlurmSim;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Seed perturbation for the fleet-specific request attributes (session
 /// and prefix-group draws), so they are independent of the arrival
@@ -167,7 +164,7 @@ pub struct FleetRequest {
 
 /// Configuration of the fleet benchmark (everything except the swept
 /// load point).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Per-replica serving config: system, model, trace shape, SLOs,
     /// KV headroom, and the base storage precision.
@@ -272,7 +269,7 @@ pub struct FleetReport {
 
 /// The fleet benchmark: a config plus `run`/`simulate`/`sweep` entry
 /// points mirroring [`ServeBenchmark`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetBenchmark {
     pub config: FleetConfig,
 }
@@ -338,12 +335,6 @@ impl FleetBenchmark {
             Some(a) => self.config.replicas.max(a.max_replicas),
             None => self.config.replicas,
         }
-    }
-
-    /// Simulated nodes the fleet needs on a [`SlurmSim`] partition: one
-    /// device per replica at peak scale.
-    pub fn nodes_required(&self) -> u32 {
-        NodeConfig::shared(self.config.serve.system).nodes_for(self.peak_replicas())
     }
 
     fn validate(&self, point: ServePoint) -> Result<(), AccelError> {
@@ -422,52 +413,6 @@ impl FleetBenchmark {
                 .into_result()
             })
             .collect()
-    }
-
-    /// Compare routing policies on the same trace and load point; the
-    /// grid fans out over the runner like every other benchmark family.
-    pub fn sweep_policies(
-        &self,
-        runner: SweepRunner,
-        point: ServePoint,
-        policies: Vec<RoutePolicy>,
-    ) -> Vec<RunOutcome<FleetFom>> {
-        let base = self.config.clone();
-        runner.map(policies, move |policy| {
-            let bench = FleetBenchmark {
-                config: base.clone(),
-            }
-            .with_policy(policy);
-            RunOutcome::from_result(bench.run(point))
-        })
-    }
-
-    /// [`FleetBenchmark::sweep_policies`] sharded across a [`SlurmSim`]
-    /// partition: each shard is one multi-node job sized to the fleet's
-    /// peak replica count. Results merge back in grid order,
-    /// bit-identical to the serial sweep.
-    pub fn sweep_policies_sharded(
-        &self,
-        slurm: &Arc<SlurmSim>,
-        plan: ShardPlan,
-        point: ServePoint,
-        policies: Vec<RoutePolicy>,
-    ) -> ShardedSweep<RunOutcome<FleetFom>> {
-        let base = self.config.clone();
-        let nodes = self.nodes_required();
-        SweepRunner::parallel().map_sharded_with(
-            slurm,
-            plan,
-            policies,
-            |_| nodes,
-            move |policy| {
-                let bench = FleetBenchmark {
-                    config: base.clone(),
-                }
-                .with_policy(policy);
-                RunOutcome::from_result(bench.run(point))
-            },
-        )
     }
 
     fn assemble_fom(
@@ -1512,6 +1457,7 @@ impl engine::Workload for ReplicaPhases<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, SweepSpec, WorkloadKind};
 
     fn bench(system: SystemId) -> FleetBenchmark {
         FleetBenchmark::new(system)
@@ -1752,15 +1698,26 @@ mod tests {
 
     #[test]
     fn sweep_policies_returns_grid_order() {
-        let b = bench(SystemId::A100);
-        let out = b.sweep_policies(
-            SweepRunner::parallel(),
-            point(20.0, 8),
-            RoutePolicy::ALL.to_vec(),
-        );
+        let spec = SweepSpec {
+            systems: vec![SystemId::A100],
+            policies: RoutePolicy::ALL.to_vec(),
+            replicas: 4,
+            rates: vec![20.0],
+            caps: vec![8],
+            ..SweepSpec::new(WorkloadKind::Fleet)
+        };
+        let scenario = Scenario {
+            name: "fleet".into(),
+            seed: 42,
+            sweeps: vec![spec],
+        };
+        let out = scenario.execute().swap_remove(0);
         assert_eq!(out.len(), 3);
-        for (o, p) in out.iter().zip(RoutePolicy::ALL) {
-            assert_eq!(o.as_completed().expect("completes").policy, p.tag());
+        for ((_, o), p) in out.into_iter().zip(RoutePolicy::ALL) {
+            assert_eq!(
+                o.completed().expect("completes").into_fleet().policy,
+                p.tag()
+            );
         }
     }
 

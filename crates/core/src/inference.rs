@@ -41,7 +41,7 @@ pub struct InferenceFom {
 }
 
 /// A single-device LLM inference benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceBenchmark {
     pub system: SystemId,
     pub model: GptConfig,

@@ -26,8 +26,10 @@
 //! [`engine`]: every benchmark implements [`engine::Workload`] (a cost
 //! model producing timed phases plus FOM extraction), the engine's
 //! [`engine::RunContext`] owns the [`caraml_accel::SimNode`] and builds
-//! the jpwr meter, and the [`sweep::SweepRunner`] executes parameter grids
-//! in parallel with deterministic, input-ordered collection.
+//! the jpwr meter. Grids run in parallel through rayon's ordered
+//! `into_par_iter().map(f).collect()`; serving and fleet grids run as
+//! [`scenario::SweepSpec`]s through [`scenario::Scenario::execute`]; and
+//! sharded grids run through one dispatcher, [`jube::SlurmSim::map_shards`].
 
 pub mod continuous;
 pub mod engine;
@@ -41,7 +43,6 @@ pub mod resnet;
 pub mod scenario;
 pub mod serve;
 pub mod suite;
-pub mod sweep;
 pub mod trend;
 
 pub use continuous::{
@@ -57,8 +58,7 @@ pub use fom::{CvFom, FleetFom, LatencyPercentiles, LlmFom, ServeFom};
 pub use inference::{InferenceBenchmark, InferenceFom};
 pub use llm::{LlmBenchmark, LlmRun};
 pub use llm_large::{LargeModelBenchmark, LargeModelRun};
-pub use resnet::{ResnetBenchmark, ResnetRun};
+pub use resnet::{ResnetBenchmark, ResnetRun, SweepPoint};
 pub use scenario::{Scenario, ScenarioError, ScenarioOutcome, SweepSpec, WorkloadKind};
 pub use serve::{ArrivalKind, ServeBenchmark, ServePoint, SloClass, SloPolicy};
-pub use sweep::{NodeDemand, ShardPlan, ShardRecord, ShardedSweep, SweepPoint, SweepRunner};
 pub use trend::{MetricTrend, TrendConfig, TrendReport};

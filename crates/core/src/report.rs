@@ -7,8 +7,7 @@
 
 use crate::engine::RunOutcome;
 use crate::fom::{FleetFom, HeatmapCell, ServeFom};
-use crate::sweep::ShardRecord;
-use jube::ResultTable;
+use jube::{JobRecord, ResultTable};
 
 /// A named data series over batch sizes (one line in a Fig. 2/3 panel).
 #[derive(Debug, Clone)]
@@ -291,24 +290,24 @@ pub fn render_precision_table(title: &str, foms: &[ServeFom]) -> String {
     format!("{title}\n{}", table.to_ascii())
 }
 
-/// Render the per-shard dispatch accounting of a sharded sweep: one row
-/// per shard job with its grid slice, node requirement, queue and run
-/// times.
-pub fn render_shard_table(title: &str, shards: &[ShardRecord]) -> String {
+/// Render the scheduler's per-job accounting of a sharded run: one row
+/// per shard job with its id, name, nodes, final state, and queue and
+/// run times (wall-clock seconds).
+pub fn render_job_table(title: &str, records: &[JobRecord]) -> String {
     let mut table = ResultTable::new(
-        ["shard", "job", "points", "nodes", "queue_s", "run_s"]
+        ["job", "name", "nodes", "state", "queue_s", "run_s"]
             .iter()
             .map(|s| s.to_string())
             .collect(),
     );
-    for rec in shards {
+    for r in records {
         table.push_row(vec![
-            rec.shard.to_string(),
-            rec.name.clone(),
-            format!("{}..{}", rec.range.start, rec.range.end),
-            rec.nodes.to_string(),
-            format!("{:.4}", rec.queue_s),
-            format!("{:.4}", rec.run_s),
+            r.id.to_string(),
+            r.name.clone(),
+            r.nodes.to_string(),
+            format!("{:?}", r.state),
+            format!("{:.4}", r.queue_s),
+            format!("{:.4}", r.run_s),
         ]);
     }
     format!("{title}\n{}", table.to_ascii())
@@ -428,6 +427,7 @@ pub fn render_trend_report(report: &crate::trend::TrendReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jube::JobState;
 
     #[test]
     fn series_peak() {
@@ -622,32 +622,25 @@ mod tests {
 
     #[test]
     fn shard_table_renders_accounting_rows() {
-        let shards = vec![
-            ShardRecord {
-                shard: 0,
-                job_id: 1,
-                name: "sweep_shard0".into(),
-                range: 0..3,
-                nodes: 2,
-                queue_s: 0.001,
-                run_s: 0.25,
-            },
-            ShardRecord {
-                shard: 1,
-                job_id: 2,
-                name: "sweep_shard1".into(),
-                range: 3..5,
-                nodes: 1,
-                queue_s: 0.1234,
-                run_s: 0.5,
-            },
+        let record = |id: u64, nodes: u32, state: JobState, queue_s: f64| JobRecord {
+            id,
+            name: format!("sweep_shard{}", id - 1),
+            nodes,
+            state,
+            queue_s,
+            run_s: 0.25,
+            error: None,
+        };
+        let records = vec![
+            record(1, 2, JobState::Completed, 0.001),
+            record(2, 1, JobState::Failed, 0.1234),
         ];
-        let out = render_shard_table("Shard dispatch", &shards);
+        let out = render_job_table("Shard dispatch", &records);
         assert!(out.contains("Shard dispatch"));
         assert!(out.contains("sweep_shard1"));
-        assert!(out.contains("0..3"));
-        assert!(out.contains("3..5"));
+        assert!(out.contains("Completed") && out.contains("Failed"));
         assert!(out.contains("0.1234"));
+        assert!(out.contains("0.2500"));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
 use crate::fom::{CvFom, HeatmapCell};
-use crate::sweep::{grid, SweepRunner};
 use caraml_accel::affinity::{BindingPolicy, NumaTopology};
 use caraml_accel::ipu::{IpuResnetModel, GRAPH_COMPILE_S, GRAPH_COMPILE_W};
 use caraml_accel::spec::Workload;
@@ -18,6 +17,7 @@ use caraml_data::IMAGENET_TRAIN_IMAGES;
 use caraml_models::resnet::cost::ResnetCost;
 use caraml_models::ResnetConfig;
 use caraml_parallel::comm::CollectiveModel;
+use rayon::prelude::*;
 
 /// Relative utilization while stalled on input staging.
 const STALL_UTILIZATION: f64 = 0.15;
@@ -220,8 +220,8 @@ impl ResnetBenchmark {
     }
 
     /// A full Fig. 4 heatmap: rows = device counts, columns = global
-    /// batch sizes. Cells are independent, so the grid is evaluated by
-    /// the parallel [`SweepRunner`] and reshaped row-major.
+    /// batch sizes. Cells are independent, so the grid is evaluated in
+    /// parallel (collected in grid order) and reshaped row-major.
     pub fn heatmap(
         system: SystemId,
         device_counts: &[u32],
@@ -230,9 +230,10 @@ impl ResnetBenchmark {
         if batches.is_empty() {
             return device_counts.iter().map(|_| Vec::new()).collect();
         }
-        let cells = SweepRunner::parallel().map(grid(system, device_counts, batches), |p| {
-            Self::heatmap_cell(p.system, p.devices, p.batch)
-        });
+        let cells: Vec<HeatmapCell> = grid(system, device_counts, batches)
+            .into_par_iter()
+            .map(|p| Self::heatmap_cell(p.system, p.devices, p.batch))
+            .collect();
         cells
             .chunks(batches.len())
             .map(<[HeatmapCell]>::to_vec)
@@ -498,6 +499,29 @@ pub const TABLE3_BATCHES: [u64; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 409
 /// Fig. 4 heatmap columns: global batch sizes.
 pub const FIG4_BATCHES: [u64; 8] = [16, 32, 64, 128, 256, 512, 1024, 2048];
 
+/// One point of a (system × device-count × batch) sweep grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepPoint {
+    pub system: SystemId,
+    pub devices: u32,
+    pub batch: u64,
+}
+
+/// The row-major (device-major, then batch) grid of sweep points used by
+/// the Fig. 4 heatmaps.
+pub fn grid(system: SystemId, device_counts: &[u32], batches: &[u64]) -> Vec<SweepPoint> {
+    device_counts
+        .iter()
+        .flat_map(|&devices| {
+            batches.iter().map(move |&batch| SweepPoint {
+                system,
+                devices,
+                batch,
+            })
+        })
+        .collect()
+}
+
 /// Fig. 4 heatmap rows for one system: device counts in powers of two up
 /// to two nodes, or up to one node where the system has no inter-node
 /// interconnect ("where resources were available").
@@ -515,6 +539,16 @@ pub fn fig4_devices(system: SystemId) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn grid_is_row_major() {
+        let g = grid(SystemId::A100, &[1, 2], &[16, 32]);
+        assert_eq!(g.len(), 4);
+        assert_eq!((g[0].devices, g[0].batch), (1, 16));
+        assert_eq!((g[1].devices, g[1].batch), (1, 32));
+        assert_eq!((g[2].devices, g[2].batch), (2, 16));
+        assert_eq!((g[3].devices, g[3].batch), (2, 32));
+    }
 
     fn bench(system: SystemId) -> ResnetBenchmark {
         ResnetBenchmark::fig3(system)

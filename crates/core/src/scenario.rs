@@ -24,6 +24,10 @@
 //! lower their flags into: flags and files pass the same
 //! [`SweepSpec::check`] and run through the same cell executor,
 //! [`Scenario::execute`], which returns one typed [`RunOutcome`] per cell.
+//! It is the one way to run a serving or fleet grid: `bench_serve` and
+//! the serve and fleet determinism suites build `SweepSpec`s too.
+//! [`Scenario::check`] also rejects two cells that share a label (their
+//! metric-key prefix) but not their configuration.
 //!
 //! Execution goes through the exact same benchmark APIs the native Rust
 //! callers use ([`crate::llm`], [`crate::resnet`], [`crate::inference`],
@@ -33,8 +37,10 @@
 //! `(key, f64::to_bits)` pairs, the cross-engine-verification shape of
 //! starlark-bench. Cell expansion is deterministic (file order, then
 //! systems × precisions × workload axes) and execution order is
-//! irrelevant: [`SweepRunner::map`] returns results in input order, so
-//! serial and parallel runs produce the same outcome.
+//! irrelevant: cells run through rayon's ordered
+//! `into_par_iter().map(f).collect()`, which returns results in input
+//! order, so a run on one worker and a run on many produce the same
+//! outcome.
 
 use crate::continuous::{Baseline, ContinuousError, HistoryRecord};
 use crate::engine::RunOutcome;
@@ -43,11 +49,12 @@ use crate::fom::{CvFom, FleetFom, LlmFom, ServeFom};
 use crate::inference::{InferenceBenchmark, InferenceFom};
 use crate::llm::LlmBenchmark;
 use crate::resnet::ResnetBenchmark;
-use crate::serve::{load_grid, ArrivalKind, ServeBenchmark, ServePoint};
-use crate::sweep::SweepRunner;
+use crate::serve::{load_grid, ArrivalKind, ServeBenchmark, ServePoint, DEFAULT_REQUESTS};
 use caraml_accel::toml_lite::{self, TomlValue};
 use caraml_accel::{DeviceKind, NodeConfig, Precision, SystemId};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
@@ -78,7 +85,10 @@ pub const MAX_REQUESTS: u32 = 10_000_000;
 
 /// Longest LLM measurement window, seconds. jpwr samples the window at
 /// the benchmark's 1 s interval into one power row per sample, one
-/// column per device.
+/// column per device. Also the longest expected trace span
+/// (`requests / rate`) of an autoscaled fleet sweep: its autoscaler
+/// checks the queue every 0.25 s of virtual time, so the bound caps a
+/// run at 4·10⁶ checks.
 pub const MAX_DURATION_S: f64 = 1e6;
 
 /// Largest batch a sweep may ask for, far past any device's memory. Near
@@ -303,6 +313,25 @@ impl SweepSpec {
                     context,
                     "bursty needs a finite burst_factor > 1 and mean_burst >= 1",
                 ));
+            }
+        }
+        // An autoscaled fleet wakes every `check_interval_s` of virtual
+        // time, idle or not, so its work grows with the trace span. A
+        // fixed fleet wakes only on arrivals and batch steps, so its work
+        // follows the request count, which `MAX_REQUESTS` bounds.
+        if self.workload == WorkloadKind::Fleet && self.autoscale {
+            let requests = f64::from(self.requests.unwrap_or(DEFAULT_REQUESTS));
+            for &rate in &self.rates {
+                let span_s = requests / rate;
+                if span_s > MAX_DURATION_S {
+                    return Err(invalid(
+                        context,
+                        format!(
+                            "an autoscaled fleet's trace spans requests / rate = {span_s:e} s, \
+                             past the {MAX_DURATION_S:e} s ceiling"
+                        ),
+                    ));
+                }
             }
         }
         if self.disagg && self.replicas < 2 {
@@ -570,7 +599,9 @@ impl Scenario {
         for (i, table) in sweep_tables.iter().enumerate() {
             sweeps.push(Self::parse_sweep(table, i)?);
         }
-        Ok(Scenario { name, seed, sweeps })
+        let scenario = Scenario { name, seed, sweeps };
+        scenario.check_labels()?;
+        Ok(scenario)
     }
 
     fn parse_sweep(table: &TomlValue, index: usize) -> Result<SweepSpec, ScenarioError> {
@@ -734,20 +765,49 @@ impl Scenario {
         Self::parse(&text)
     }
 
-    /// [`SweepSpec::check`] on every sweep.
+    /// [`SweepSpec::check`] on every sweep, then the label rule: no two
+    /// cells share a label but not their configuration.
     pub fn check(&self) -> Result<(), ScenarioError> {
         self.sweeps
             .iter()
             .enumerate()
-            .try_for_each(|(i, spec)| spec.check(&format!("sweep[{i}]")))
+            .try_for_each(|(i, spec)| spec.check(&format!("sweep[{i}]")))?;
+        self.check_labels()
+    }
+
+    /// Reject two cells that share a label but not their configuration.
+    /// A label is a cell's metric-key prefix, and it leaves out the trace
+    /// seed, length and arrival process, the fleet size and the LLM
+    /// window, so such cells would overwrite each other's metrics. An
+    /// identical repeat (`caraml serve --precision all` runs its bf16
+    /// point in both of its sweeps) writes the same metrics twice.
+    fn check_labels(&self) -> Result<(), ScenarioError> {
+        let mut seen: BTreeMap<String, Cell> = BTreeMap::new();
+        for (_, cell) in self.cells() {
+            let label = cell.label();
+            match seen.get(&label) {
+                Some(first) if *first != cell => {
+                    return Err(invalid(
+                        "scenario",
+                        format!(
+                            "two cells share the label `{label}` but not their seed, \
+                             requests, arrival, replicas or duration_s, so one would \
+                             overwrite the other's metrics"
+                        ),
+                    ))
+                }
+                Some(_) => {}
+                None => {
+                    seen.insert(label, cell);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total cells the scenario expands to.
     pub fn cell_count(&self) -> usize {
-        self.sweeps
-            .iter()
-            .map(|spec| spec.cells(self.seed).len())
-            .sum()
+        self.cells().len()
     }
 
     /// Execute every cell through the shared benchmark APIs: one
@@ -755,29 +815,37 @@ impl Scenario {
     /// (sweeps in file order, then systems × precisions × the workload's
     /// axes). The label is the cell's metric-key prefix. The scenario
     /// must pass [`Scenario::check`]; parsing checks it.
-    pub fn execute(&self, runner: SweepRunner) -> Vec<Vec<(String, RunOutcome<CellFom>)>> {
-        let cells: Vec<(usize, Cell)> = self
-            .sweeps
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| spec.cells(self.seed).into_iter().map(move |c| (i, c)))
+    pub fn execute(&self) -> Vec<Vec<(String, RunOutcome<CellFom>)>> {
+        let outcomes: Vec<(usize, (String, RunOutcome<CellFom>))> = self
+            .cells()
+            .into_par_iter()
+            .map(|(i, cell)| (i, (cell.label(), cell.execute())))
             .collect();
         let mut grouped = vec![Vec::new(); self.sweeps.len()];
-        for (i, outcome) in runner.map(cells, |(i, cell)| (i, (cell.label(), cell.execute()))) {
+        for (i, outcome) in outcomes {
             grouped[i].push(outcome);
         }
         grouped
     }
 
+    /// Every cell with the index of its sweep, in expansion order.
+    fn cells(&self) -> Vec<(usize, Cell)> {
+        self.sweeps
+            .iter()
+            .enumerate()
+            .flat_map(|(i, spec)| spec.cells(self.seed).into_iter().map(move |c| (i, c)))
+            .collect()
+    }
+
     /// Check the scenario, execute every cell and fold the figures of
     /// merit into a metric map. Out-of-memory cells are skipped (and
     /// listed); any other benchmark failure aborts.
-    pub fn run(&self, runner: SweepRunner) -> Result<ScenarioOutcome, ScenarioError> {
+    pub fn run(&self) -> Result<ScenarioOutcome, ScenarioError> {
         self.check()?;
         let mut metrics = Baseline::new(&self.name);
         let mut skipped_oom = Vec::new();
         let mut runs = 0u64;
-        for (label, outcome) in self.execute(runner).into_iter().flatten() {
+        for (label, outcome) in self.execute().into_iter().flatten() {
             match outcome {
                 RunOutcome::Completed(fom) => {
                     runs += 1;
@@ -857,7 +925,7 @@ impl Scenario {
 
 /// One executable unit of a scenario: a configured benchmark at one
 /// point of its sweep's axes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Cell {
     Llm {
         sys: SystemId,
@@ -893,6 +961,24 @@ pub enum CellFom {
 }
 
 impl CellFom {
+    /// The figures of merit of a serve cell. Panics on any other cell: a
+    /// serve sweep yields only serve cells.
+    pub fn into_serve(self) -> ServeFom {
+        match self {
+            CellFom::Serve(fom) => fom,
+            other => unreachable!("a serve sweep yielded {other:?}"),
+        }
+    }
+
+    /// The figures of merit of a fleet cell. Panics on any other cell: a
+    /// fleet sweep yields only fleet cells.
+    pub fn into_fleet(self) -> FleetFom {
+        match self {
+            CellFom::Fleet(fom) => fom,
+            other => unreachable!("a fleet sweep yielded {other:?}"),
+        }
+    }
+
     /// Fold the cell's headline metrics into `metrics` under `prefix`.
     fn record(&self, metrics: &mut Baseline, prefix: &str) -> Result<(), ContinuousError> {
         match self {
@@ -1158,7 +1244,7 @@ requests = 48
     #[test]
     fn scenario_run_matches_hand_built_serve_sweep_bitwise() {
         let sc = Scenario::parse(MINI).unwrap();
-        let outcome = sc.run(SweepRunner::serial()).unwrap();
+        let outcome = sc.run().unwrap();
         assert_eq!(outcome.runs, 2);
         assert!(outcome.skipped_oom.is_empty());
 
@@ -1186,8 +1272,12 @@ requests = 48
     #[test]
     fn serial_and_parallel_checksums_agree() {
         let sc = Scenario::parse(MINI).unwrap();
-        let serial = sc.run(SweepRunner::serial()).unwrap();
-        let parallel = sc.run(SweepRunner::parallel()).unwrap();
+        let one_worker = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let serial = one_worker.install(|| sc.run()).unwrap();
+        let parallel = sc.run().unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -1208,7 +1298,7 @@ requests = 48
             "schema = 1\nname = \"oom\"\n[[sweep]]\nworkload = \"resnet\"\nsystems = [\"A100\"]\nbatches = [256, 65536]",
         )
         .unwrap();
-        let outcome = sc.run(SweepRunner::serial()).unwrap();
+        let outcome = sc.run().unwrap();
         assert_eq!(outcome.runs, 1);
         assert_eq!(
             outcome.skipped_oom,
@@ -1219,7 +1309,7 @@ requests = 48
     #[test]
     fn history_records_carry_precision_and_direction() {
         let sc = Scenario::parse(MINI).unwrap();
-        let outcome = sc.run(SweepRunner::serial()).unwrap();
+        let outcome = sc.run().unwrap();
         let records = outcome.history_records(3, "rev-x", "avx2");
         assert_eq!(records.len(), outcome.metrics.metrics.len());
         for rec in &records {
@@ -1259,7 +1349,7 @@ requests = 48
         let scale = bench.config.autoscale.expect("autoscale = true");
         assert_eq!((scale.min_replicas, scale.max_replicas), (2, 8));
         assert_eq!(bench.precision_of(1), Precision::Int8);
-        let cells = sc.execute(SweepRunner::serial()).swap_remove(0);
+        let cells = sc.execute().swap_remove(0);
         assert_eq!(cells.len(), 2, "one cell per policy");
         for (label, outcome) in cells {
             assert!(
@@ -1325,6 +1415,79 @@ requests = 48
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn autoscaled_fleet_spans_past_the_duration_ceiling_are_rejected() {
+        let fleet = |keys: &str| {
+            Scenario::parse(&format!(
+                "schema = 1\nname = \"x\"\n[[sweep]]\nworkload = \"fleet\"\n\
+                 systems = [\"H100\"]\ncaps = [4]\n{keys}"
+            ))
+        };
+        // 160 requests (the default trace) at 2e-4/s span 8e5 s, under
+        // the ceiling; at 1e-8/s they would span 1.6e10 s of 0.25 s checks.
+        assert!(fleet("rates = [2e-4]\nautoscale = true").is_ok());
+        assert!(
+            fleet("rates = [1e-8]").is_ok(),
+            "a fixed fleet has no span bound"
+        );
+        assert!(fleet("rates = [2e-6]\nrequests = 1\nautoscale = true").is_ok());
+        for keys in [
+            "rates = [1e-8]\nautoscale = true",
+            "rates = [8.0, 1.5e-4]\nautoscale = true",
+            "rates = [8.0]\nrequests = 10000000\nautoscale = true",
+        ] {
+            let err = fleet(keys).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { .. })
+                    && err.to_string().contains("requests / rate"),
+                "{keys}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_sharing_a_label_must_share_their_configuration() {
+        // Two serve sweeps that differ only in `seed` expand to one label,
+        // and the second would overwrite the first one's metrics.
+        let two_seeds = "schema = 1\nname = \"x\"\n\
+            [[sweep]]\nworkload = \"serve\"\nsystems = [\"A100\"]\nrates = [32.0]\ncaps = [16]\nseed = 1\n\
+            [[sweep]]\nworkload = \"serve\"\nsystems = [\"A100\"]\nrates = [32.0]\ncaps = [16]\nseed = 2\n";
+        let err = Scenario::parse(two_seeds).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::Invalid { .. })
+                && err.to_string().contains("`serve/A100/bf16/r32/c16`"),
+            "{err}"
+        );
+        // The same collision built in code fails the same check.
+        let mut native = Scenario::parse(&two_seeds.replace("seed = 2", "seed = 1")).unwrap();
+        native.sweeps[1].seed = Some(2);
+        assert_eq!(native.check(), Err(err));
+        // Fleet sizes and LLM windows are not in the label either.
+        let fleet =
+            "[[sweep]]\nworkload = \"fleet\"\nsystems = [\"H100\"]\nrates = [8.0]\ncaps = [4]\n";
+        assert!(Scenario::parse(&format!(
+            "schema = 1\nname = \"x\"\n{fleet}replicas = 2\n{fleet}replicas = 3\n"
+        ))
+        .is_err());
+        let llm = "[[sweep]]\nworkload = \"llm\"\nsystems = [\"A100\"]\nbatches = [512]\n";
+        assert!(Scenario::parse(&format!(
+            "schema = 1\nname = \"x\"\n{llm}duration_s = 60.0\n{llm}duration_s = 120.0\n"
+        ))
+        .is_err());
+        // An identical repeat stays valid: the file twin of `caraml serve
+        // A100 --precision all` runs serve/A100/bf16/r32/c64 in both sweeps.
+        let repeat = Scenario::parse(
+            "schema = 1\nname = \"serve\"\n\
+             [[sweep]]\nworkload = \"serve\"\nsystems = [\"A100\"]\n\
+             rates = [2.0, 8.0, 32.0, 128.0]\ncaps = [4, 16, 64]\n\
+             [[sweep]]\nworkload = \"serve\"\nsystems = [\"A100\"]\n\
+             precisions = [\"f32\", \"bf16\", \"int8\"]\nrates = [32.0]\ncaps = [64]\n",
+        )
+        .unwrap();
+        assert_eq!(repeat.cell_count(), 15);
+        repeat.check().unwrap();
     }
 
     #[test]

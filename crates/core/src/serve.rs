@@ -21,9 +21,10 @@
 //! [`SimReport`] and the serving figures of merit ([`ServeFom`]):
 //! p50/p95/p99 time-to-first-token and per-token latency, goodput
 //! (SLO-met tokens/s), Wh per kilo-token under load, and the device
-//! power duty cycle. Load grids (arrival rate × batch cap) execute
-//! through the [`crate::sweep::SweepRunner`] like every other benchmark
-//! family.
+//! power duty cycle. Load grids (arrival rate × batch cap) run as serve
+//! [`crate::scenario::SweepSpec`]s through
+//! [`crate::scenario::Scenario::execute`], the one executor `caraml
+//! serve`, `bench_serve` and scenario files share.
 //!
 //! ## Batching policy
 //!
@@ -44,10 +45,9 @@
 //!   `Served`/`Shed` — the property tests in `tests/serve_props.rs` pin
 //!   this, along with FIFO-within-class and the occupancy/memory caps.
 
-use crate::engine::{PhaseSpec, RunOutcome};
+use crate::engine::PhaseSpec;
 use crate::fleet::{FleetBenchmark, FleetConfig, FleetReport, RoutePolicy};
 use crate::fom::{LatencyPercentiles, ServeFom};
-use crate::sweep::SweepRunner;
 use caraml_accel::{AccelError, NodeConfig, Precision, SystemId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -230,9 +230,12 @@ pub fn load_grid(rates: &[f64], caps: &[u32]) -> Vec<ServePoint> {
         .collect()
 }
 
+/// Requests in the arrival trace of [`ServeBenchmark::new`].
+pub(crate) const DEFAULT_REQUESTS: u32 = 160;
+
 /// Configuration of the serving benchmark (everything except the swept
 /// load point).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     pub system: SystemId,
     pub model: caraml_models::GptConfig,
@@ -258,9 +261,8 @@ pub struct ServeConfig {
     pub precision: Precision,
 }
 
-/// The serving benchmark: a config plus `run`/`sweep`/`simulate` entry
-/// points.
-#[derive(Debug, Clone)]
+/// The serving benchmark: a config plus `run`/`simulate` entry points.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeBenchmark {
     pub config: ServeConfig,
 }
@@ -273,7 +275,7 @@ impl ServeBenchmark {
             config: ServeConfig {
                 system,
                 model: caraml_models::GptConfig::gpt_800m(),
-                num_requests: 160,
+                num_requests: DEFAULT_REQUESTS,
                 seed: 42,
                 arrival: ArrivalKind::Poisson,
                 prompt_tokens: (64, 512),
@@ -334,12 +336,6 @@ impl ServeBenchmark {
             peak_power_w: meter.peak_power_w,
             busy_fraction: meter.busy_fraction,
         })
-    }
-
-    /// Run a load grid through a [`SweepRunner`]; outcomes come back in
-    /// grid order regardless of execution order.
-    pub fn sweep(&self, runner: SweepRunner, points: Vec<ServePoint>) -> Vec<RunOutcome<ServeFom>> {
-        runner.map(points, |p| RunOutcome::from_result(self.run(p)))
     }
 
     /// Pure batching simulation of one load point — no power
@@ -548,6 +544,8 @@ fn geometric(rng: &mut ChaCha8Rng, mean: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RunOutcome;
+    use crate::scenario::{Scenario, SweepSpec, WorkloadKind};
 
     fn bench(system: SystemId) -> ServeBenchmark {
         ServeBenchmark::new(system)
@@ -711,7 +709,7 @@ mod tests {
     fn oversized_model_reports_oom_outcome() {
         let mut b = bench(SystemId::A100);
         b.config.model = caraml_models::GptConfig::gpt_175b();
-        let outcome = &b.sweep(SweepRunner::serial(), vec![point(4.0, 8)])[0];
+        let outcome = RunOutcome::from_result(b.run(point(4.0, 8)));
         assert!(outcome.is_oom(), "175B weights cannot fit a 40 GB A100");
     }
 
@@ -743,12 +741,22 @@ mod tests {
 
     #[test]
     fn sweep_runs_grid_in_order() {
-        let b = bench(SystemId::H100Jrdc);
-        let grid = load_grid(&[4.0, 64.0], &[8]);
-        let out = b.sweep(SweepRunner::parallel(), grid.clone());
-        assert_eq!(out.len(), 2);
-        for (o, p) in out.iter().zip(&grid) {
-            let fom = o.as_completed().expect("completes");
+        let spec = SweepSpec {
+            systems: vec![SystemId::H100Jrdc],
+            rates: vec![4.0, 64.0],
+            caps: vec![8, 2],
+            ..SweepSpec::new(WorkloadKind::Serve)
+        };
+        let scenario = Scenario {
+            name: "serve".into(),
+            seed: 42,
+            sweeps: vec![spec],
+        };
+        let out = scenario.execute().swap_remove(0);
+        let grid = load_grid(&[4.0, 64.0], &[8, 2]);
+        assert_eq!(out.len(), grid.len());
+        for ((_, o), p) in out.into_iter().zip(&grid) {
+            let fom = o.completed().expect("completes").into_serve();
             assert_eq!(fom.rate_per_s, p.rate_per_s);
             assert_eq!(fom.batch_cap, p.batch_cap);
         }

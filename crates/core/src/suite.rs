@@ -357,9 +357,10 @@ mod tests {
 
     #[test]
     fn suites_run_on_slurm_partition() {
+        // One shard per workpackage: each workpackage is one Slurm job.
         let slurm = jube::SlurmSim::new(4);
         let result = resnet50_benchmark()
-            .run_on(&slurm, &tags(&["GH200"]), 1)
+            .run_sharded(&slurm, &tags(&["GH200"]), FIG3_BATCHES.len(), 1)
             .unwrap();
         assert_eq!(result.workpackages.len(), FIG3_BATCHES.len());
         assert_eq!(result.failures(), 0);

@@ -208,6 +208,23 @@ fn fleet_load_point_out_of_range_exits_2_before_running() {
 }
 
 #[test]
+fn flags_a_subcommand_does_not_take_exit_2_naming_the_flag() {
+    // `--rates` (a typo of `--rate`) once ran the default 96/s point.
+    let out = caraml()
+        .args(["fleet", "H100", "--replicas", "2", "--rates", "5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a table was printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`--rates`"), "stderr: {stderr}");
+    // Each subcommand has its own list: `--json` is a fleet flag only.
+    let out = caraml().args(["serve", "H100", "--json"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--json`"));
+}
+
+#[test]
 fn serve_unparsable_seed_exits_2_naming_the_flag() {
     let out = caraml()
         .args(["serve", "H100", "--seed", "abc"])

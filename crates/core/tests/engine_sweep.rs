@@ -2,20 +2,22 @@
 //!
 //! Two properties the execution engine must uphold:
 //!
-//! * the parallel [`SweepRunner`] is **bit-identical** to the sequential
-//!   one — same cells, same order, same floating-point bits — so the
-//!   figure/table binaries may parallelise sweeps without perturbing the
-//!   paper's numbers;
+//! * a grid run on rayon's default pool is **bit-identical** to the same
+//!   grid on a one-worker pool — same cells, same order, same
+//!   floating-point bits — so the figure/table binaries may parallelise
+//!   sweeps without perturbing the paper's numbers;
 //! * over-capacity Fig. 4 cells surface as structured
 //!   [`RunOutcome::Oom`] values (not stringly-typed errors), and the
 //!   outcome round-trips losslessly into [`AccelError::OutOfMemory`].
+//!
+//! Sharded dispatch of the same grids is `tests/sharded_sweep.rs`.
 
 use caraml::engine;
-use caraml::resnet::{ResnetBenchmark, ResnetWorkload};
-use caraml::sweep::grid;
-use caraml::{RunOutcome, SweepRunner};
+use caraml::resnet::{grid, ResnetBenchmark, ResnetWorkload};
+use caraml::{RunOutcome, SweepPoint};
 use caraml_accel::{AccelError, SystemId};
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 const GPU_SYSTEMS: [SystemId; 6] = [
     SystemId::A100,
@@ -40,13 +42,20 @@ fn cell_bits(run: Result<caraml::ResnetRun, AccelError>) -> (u64, u64, u64, Stri
     }
 }
 
+/// One full-measurement grid cell.
+fn cell(p: SweepPoint) -> (u64, u64, u64, String) {
+    let mut bench = ResnetBenchmark::fig3(p.system);
+    bench.devices = p.devices;
+    cell_bits(bench.run(p.batch))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Running the same (devices × batch) grid serially and in parallel
-    /// produces the same outcomes, in the same order, down to the last
-    /// floating-point bit. OOM and invalid-config cells compare by
-    /// message and must agree too.
+    /// Running the same (devices × batch) grid on a one-worker pool and
+    /// on the default pool produces the same outcomes, in the same order,
+    /// down to the last floating-point bit. OOM and invalid-config cells
+    /// compare by message and must agree too.
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial(
         sys in 0usize..6,
@@ -56,13 +65,14 @@ proptest! {
         let system = GPU_SYSTEMS[sys];
         let devices: Vec<u32> = dev_pows.iter().map(|p| 1u32 << p).collect();
         let batches: Vec<u64> = batch_pows.iter().map(|p| 1u64 << p).collect();
-        let cell = |p: caraml::SweepPoint| {
-            let mut bench = ResnetBenchmark::fig3(p.system);
-            bench.devices = p.devices;
-            cell_bits(bench.run(p.batch))
-        };
-        let serial = SweepRunner::serial().map(grid(system, &devices, &batches), cell);
-        let parallel = SweepRunner::parallel().map(grid(system, &devices, &batches), cell);
+        let points = grid(system, &devices, &batches);
+        let one_worker = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let serial: Vec<_> =
+            one_worker.install(|| points.clone().into_par_iter().map(cell).collect());
+        let parallel: Vec<_> = points.into_par_iter().map(cell).collect();
         prop_assert_eq!(serial, parallel);
     }
 }

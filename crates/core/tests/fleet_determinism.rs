@@ -3,17 +3,18 @@
 //! The fleet FOMs are the contract of the policy comparisons, so they
 //! must be exactly reproducible: identical seed ⇒ bit-identical routing
 //! decisions, per-request latencies and energy totals — across repeated
-//! runs, across 1/2/4-thread rayon pools, between the serial and
-//! parallel [`SweepRunner`], and across sharded dispatch on a simulated
-//! Slurm partition. Every comparison projects `f64`s onto their raw bit
-//! patterns, so a pass means *bit* identity, not approximate agreement.
+//! runs, and for the policy sweep run through [`Scenario::execute`]
+//! across 1/2/4-thread rayon pools and across sharded dispatch on a
+//! simulated Slurm partition. Every comparison projects `f64`s onto
+//! their raw bit patterns, so a pass means *bit* identity, not
+//! approximate agreement.
 
 use caraml::engine::RunOutcome;
 use caraml::fleet::{AutoscaleConfig, FleetBenchmark, RoutePolicy};
+use caraml::scenario::{CellFom, Scenario, SweepSpec, WorkloadKind, BURSTY, DEFAULT_SEED};
 use caraml::serve::{ArrivalKind, RequestOutcome};
-use caraml::sweep::ShardPlan;
-use caraml::{FleetFom, ServePoint, SweepRunner};
-use caraml_accel::SystemId;
+use caraml::{FleetFom, ServePoint};
+use caraml_accel::{NodeConfig, SystemId};
 use jube::SlurmSim;
 
 /// A fleet with every subsystem lit up: four replicas behind the router,
@@ -81,19 +82,49 @@ fn sweep_bits(outcomes: &[RunOutcome<FleetFom>]) -> Vec<(Vec<u64>, String)> {
         .collect()
 }
 
+/// Replicas and trace length of the policy sweep. The scenario
+/// autoscales a fleet between `min(replicas, 8)` and `max(replicas, 8)`
+/// replicas, so it starts at its floor and can scale down only after
+/// scaling up; two replicas and 1,600 requests are enough for round-robin
+/// and session affinity to do both.
+const SWEEP_REPLICAS: u32 = 2;
+const SWEEP_REQUESTS: u32 = 1600;
+
+/// A fleet like [`bench`] (bursty, disaggregated, autoscaled) at
+/// [`point`] under each of `policies`, as a fleet sweep run through the
+/// scenario executor on the pool the caller runs in.
+fn policy_sweep(policies: Vec<RoutePolicy>) -> Vec<RunOutcome<FleetFom>> {
+    let scenario = Scenario {
+        name: "fleet".into(),
+        seed: DEFAULT_SEED,
+        sweeps: vec![SweepSpec {
+            systems: vec![SystemId::H100Jrdc],
+            policies,
+            replicas: SWEEP_REPLICAS,
+            rates: vec![point().rate_per_s],
+            caps: vec![point().batch_cap],
+            requests: Some(SWEEP_REQUESTS),
+            arrival: BURSTY,
+            disagg: true,
+            autoscale: true,
+            ..SweepSpec::new(WorkloadKind::Fleet)
+        }],
+    };
+    scenario
+        .execute()
+        .swap_remove(0)
+        .into_iter()
+        .map(|(_, outcome)| outcome.map(CellFom::into_fleet))
+        .collect()
+}
+
 /// Run the full policy sweep inside a rayon pool of `threads` workers.
 fn sweep_in_pool(threads: usize) -> Vec<(Vec<u64>, String)> {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
-    pool.install(|| {
-        sweep_bits(&bench().sweep_policies(
-            SweepRunner::parallel(),
-            point(),
-            RoutePolicy::ALL.to_vec(),
-        ))
-    })
+    pool.install(|| sweep_bits(&policy_sweep(RoutePolicy::ALL.to_vec())))
 }
 
 #[test]
@@ -138,15 +169,20 @@ fn repeated_runs_reproduce_energy_and_latency_bits() {
 
 #[test]
 fn serial_and_parallel_policy_sweeps_are_bit_identical() {
-    let b = bench();
-    let serial =
-        sweep_bits(&b.sweep_policies(SweepRunner::serial(), point(), RoutePolicy::ALL.to_vec()));
-    let parallel =
-        sweep_bits(&b.sweep_policies(SweepRunner::parallel(), point(), RoutePolicy::ALL.to_vec()));
-    assert_eq!(serial, parallel);
+    let serial = sweep_in_pool(1);
+    let parallel = policy_sweep(RoutePolicy::ALL.to_vec());
+    assert_eq!(serial, sweep_bits(&parallel));
     assert!(serial.iter().all(|(bits, err)| !bits.is_empty()
         && !err.starts_with("oom")
         && !err.starts_with("failed")));
+    // The identity covers the autoscaler's both directions.
+    assert!(
+        parallel
+            .iter()
+            .filter_map(RunOutcome::as_completed)
+            .any(|f| f.scale_up_events > 0 && f.scale_down_events > 0),
+        "no cell scaled both up and down"
+    );
 }
 
 #[test]
@@ -160,26 +196,29 @@ fn policy_sweep_is_bit_identical_across_1_2_4_thread_pools() {
 
 #[test]
 fn sharded_policy_sweep_matches_serial_bit_for_bit() {
-    let b = bench();
-    let serial =
-        sweep_bits(&b.sweep_policies(SweepRunner::serial(), point(), RoutePolicy::ALL.to_vec()));
+    let serial = sweep_in_pool(1);
+    // Each shard job holds the nodes of the fleet at peak scale.
+    let nodes = NodeConfig::shared(SystemId::H100Jrdc).nodes_for(SWEEP_REPLICAS.max(8));
     for shards in [1usize, 2, 3] {
-        let slurm = SlurmSim::new(b.nodes_required() * 2);
-        let sharded = b.sweep_policies_sharded(
-            &slurm,
-            ShardPlan::new(shards),
-            point(),
-            RoutePolicy::ALL.to_vec(),
-        );
+        let slurm = SlurmSim::new(nodes * 2);
+        let sharded = slurm
+            .map_shards(
+                "fleet",
+                RoutePolicy::ALL.to_vec(),
+                shards,
+                |_| nodes,
+                |policy| policy_sweep(vec![policy]).swap_remove(0),
+            )
+            .unwrap();
         assert_eq!(
-            sweep_bits(&sharded.results),
+            sweep_bits(&sharded),
             serial,
             "{shards}-shard dispatch must match serial bit-for-bit"
         );
         assert!(slurm
             .records()
             .iter()
-            .all(|r| r.state == jube::JobState::Completed));
+            .all(|r| r.state == jube::JobState::Completed && r.nodes == nodes));
     }
 }
 

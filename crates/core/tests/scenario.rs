@@ -6,7 +6,6 @@
 use caraml::continuous::{History, HistoryRecord, Verdict};
 use caraml::scenario::{check_against_native, Scenario, SweepSpec, WorkloadKind};
 use caraml::trend::{analyze, TrendConfig};
-use caraml::SweepRunner;
 use caraml_accel::{Precision, SystemId};
 use std::path::PathBuf;
 
@@ -83,11 +82,16 @@ fn parsed_scenario_is_bit_identical_to_the_native_twin() {
     let native = multi_native();
     check_against_native(&parsed, &native).unwrap();
 
-    // Parsed file run in parallel vs hand-built spec run serially: the
-    // checksums (FNV-1a over the raw f64 bits) must still agree, which
-    // pins both the parse → spec mapping and execution determinism.
-    let from_file = parsed.run(SweepRunner::parallel()).unwrap();
-    let from_code = native.run(SweepRunner::serial()).unwrap();
+    // Parsed file run in parallel vs hand-built spec run on one worker:
+    // the checksums (FNV-1a over the raw f64 bits) must still agree,
+    // which pins both the parse → spec mapping and execution
+    // determinism.
+    let from_file = parsed.run().unwrap();
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let from_code = one_worker.install(|| native.run()).unwrap();
     assert_eq!(from_file.checksum, from_code.checksum);
     assert_eq!(from_file.metrics.metrics, from_code.metrics.metrics);
     assert_eq!(from_file.runs, 5); // 2 resnet + 2 inference + 1 serve
@@ -96,10 +100,7 @@ fn parsed_scenario_is_bit_identical_to_the_native_twin() {
 
 #[test]
 fn repeated_runs_build_a_gateable_history_and_a_perturbed_ttft_fails() {
-    let outcome = Scenario::parse(MULTI)
-        .unwrap()
-        .run(SweepRunner::parallel())
-        .unwrap();
+    let outcome = Scenario::parse(MULTI).unwrap().run().unwrap();
 
     // Three identical generations: the gate must pass and the trend
     // report must see one flat series per metric.
@@ -158,10 +159,7 @@ fn repeated_runs_build_a_gateable_history_and_a_perturbed_ttft_fails() {
 
 #[test]
 fn history_survives_an_append_round_trip_on_disk() {
-    let outcome = Scenario::parse(MULTI)
-        .unwrap()
-        .run(SweepRunner::parallel())
-        .unwrap();
+    let outcome = Scenario::parse(MULTI).unwrap().run().unwrap();
     let path = temp_path("roundtrip.jsonl");
     let _ = std::fs::remove_file(&path);
 

@@ -2,22 +2,42 @@
 //!
 //! The serving FOMs gate tier-1, so they must be exactly reproducible:
 //! identical seed ⇒ bit-identical arrival trace, per-request latencies
-//! and energy totals — across repeated runs, across 1/2/4-thread rayon
-//! pools, and between the serial and parallel [`SweepRunner`]. Every
-//! comparison here projects `f64`s onto their raw bit patterns, so a
-//! pass means *bit* identity, not approximate agreement.
+//! and energy totals — across repeated runs, and across 1/2/4-thread
+//! rayon pools for the load grid run as a serve sweep through
+//! [`Scenario::execute`]. Every comparison here projects `f64`s onto
+//! their raw bit patterns, so a pass means *bit* identity, not
+//! approximate agreement.
 
 use caraml::engine::RunOutcome;
+use caraml::scenario::{CellFom, Scenario, SweepSpec, WorkloadKind, DEFAULT_SEED};
 use caraml::serve::{arrival_trace, load_grid, ArrivalKind, RequestOutcome, ServeBenchmark};
-use caraml::{ServeFom, SweepRunner};
+use caraml::ServeFom;
 use caraml_accel::SystemId;
 
 fn bench() -> ServeBenchmark {
     ServeBenchmark::new(SystemId::H100Jrdc)
 }
 
+const RATES: [f64; 3] = [4.0, 32.0, 128.0];
+const CAPS: [u32; 2] = [2, 16];
+
 fn grid() -> Vec<caraml::ServePoint> {
-    load_grid(&[4.0, 32.0, 128.0], &[2, 16])
+    load_grid(&RATES, &CAPS)
+}
+
+/// The load grid as a serve sweep on the same default config as
+/// [`bench`].
+fn scenario() -> Scenario {
+    Scenario {
+        name: "serve".into(),
+        seed: DEFAULT_SEED,
+        sweeps: vec![SweepSpec {
+            systems: vec![SystemId::H100Jrdc],
+            rates: RATES.to_vec(),
+            caps: CAPS.to_vec(),
+            ..SweepSpec::new(WorkloadKind::Serve)
+        }],
+    }
 }
 
 /// Project a ServeFom onto exact bit patterns.
@@ -59,13 +79,25 @@ fn sweep_bits(outcomes: &[RunOutcome<ServeFom>]) -> Vec<(Vec<u64>, String)> {
         .collect()
 }
 
+/// Run the load sweep through the scenario executor on the pool the
+/// caller runs in.
+fn sweep() -> Vec<(Vec<u64>, String)> {
+    let outcomes: Vec<RunOutcome<ServeFom>> = scenario()
+        .execute()
+        .swap_remove(0)
+        .into_iter()
+        .map(|(_, outcome)| outcome.map(CellFom::into_serve))
+        .collect();
+    sweep_bits(&outcomes)
+}
+
 /// Run the full load sweep inside a rayon pool of `threads` workers.
 fn sweep_in_pool(threads: usize) -> Vec<(Vec<u64>, String)> {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
-    pool.install(|| sweep_bits(&bench().sweep(SweepRunner::parallel(), grid())))
+    pool.install(sweep)
 }
 
 #[test]
@@ -142,10 +174,15 @@ fn repeated_runs_reproduce_energy_and_latency_bits() {
 
 #[test]
 fn serial_and_parallel_sweeps_are_bit_identical() {
-    let b = bench();
-    let serial = sweep_bits(&b.sweep(SweepRunner::serial(), grid()));
-    let parallel = sweep_bits(&b.sweep(SweepRunner::parallel(), grid()));
+    let serial = sweep_in_pool(1);
+    let parallel = sweep();
     assert_eq!(serial, parallel);
+    // The sweep's cells are the benchmark's own runs, in grid order.
+    let direct: Vec<RunOutcome<ServeFom>> = grid()
+        .into_iter()
+        .map(|p| RunOutcome::from_result(bench().run(p)))
+        .collect();
+    assert_eq!(serial, sweep_bits(&direct));
     // The grid deliberately includes an overloaded cell so the identity
     // also covers shedding paths, and completed cells must dominate.
     assert!(serial

@@ -13,9 +13,7 @@ use crate::step::{topo_order, Step, StepContext};
 use crate::substitute::resolve_all;
 use crate::table::ResultTable;
 use crate::JubeError;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One expanded parameter permutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,103 +188,42 @@ impl Benchmark {
         })
     }
 
-    /// Submit every workpackage as a job on a [`SlurmSim`] partition
-    /// (`nodes_per_job` nodes each) and wait for completion. Results come
-    /// back in workpackage order regardless of scheduling order.
-    pub fn run_on(
-        &self,
-        slurm: &Arc<SlurmSim>,
-        tags: &[String],
-        nodes_per_job: u32,
-    ) -> Result<RunResult, JubeError> {
-        let order = Arc::new(topo_order(&self.steps)?);
-        let wps = self.workpackages(tags);
-        let results: Arc<Mutex<Vec<Option<WorkpackageResult>>>> =
-            Arc::new(Mutex::new(vec![None; wps.len()]));
-        let steps = Arc::new(self.steps.clone());
-        let tags_owned: Arc<Vec<String>> = Arc::new(tags.to_vec());
-        for wp in wps {
-            let results = Arc::clone(&results);
-            let steps = Arc::clone(&steps);
-            let order = Arc::clone(&order);
-            let tags_owned = Arc::clone(&tags_owned);
-            let slot = wp.id;
-            slurm.submit(
-                format!("{}_wp{}", self.name, wp.id),
-                nodes_per_job,
-                move || {
-                    let r = Self::run_workpackage(&steps, &order, &tags_owned, wp);
-                    let failed = r.error.clone();
-                    results.lock()[slot] = Some(r);
-                    failed.map_or(Ok(()), Err)
-                },
-            );
-        }
-        slurm.wait_all();
-        let collected = results
-            .lock()
-            .iter()
-            .cloned()
-            .map(|r| r.expect("every workpackage reports"))
-            .collect();
-        Ok(RunResult {
-            benchmark: self.name.clone(),
-            tags: tags.to_vec(),
-            workpackages: collected,
-        })
-    }
-
     /// Partition the workpackages into `shards` contiguous shards and
-    /// submit each shard as one multi-node job (`nodes_per_shard` nodes)
-    /// on a [`SlurmSim`] partition. Within a shard the workpackages run
-    /// sequentially in workpackage order; shards run concurrently as the
-    /// scheduler admits them (FIFO), and the per-shard result vectors are
-    /// merged back in exact workpackage order, so the result is identical
-    /// to [`Benchmark::run`]. Workpackage failures are reported in the
-    /// result rows (the shard job itself completes).
+    /// submit each shard as one multi-node job (`nodes_per_shard` nodes,
+    /// clamped to the partition) through [`SlurmSim::map_shards`].
+    /// Within a shard the workpackages run sequentially in workpackage
+    /// order; shards run concurrently as the scheduler admits them
+    /// (FIFO), and the results merge back in exact workpackage order, so
+    /// the result is identical to [`Benchmark::run`]. Workpackage
+    /// failures are reported in the result rows (the shard job itself
+    /// completes); a shard job that fails (a step panicked) is a
+    /// [`JubeError::StepFailed`].
     pub fn run_sharded(
         &self,
-        slurm: &Arc<SlurmSim>,
+        slurm: &SlurmSim,
         tags: &[String],
         shards: usize,
         nodes_per_shard: u32,
     ) -> Result<RunResult, JubeError> {
-        let order = Arc::new(topo_order(&self.steps)?);
-        let wps = self.workpackages(tags);
-        let steps = Arc::new(self.steps.clone());
-        let tags_owned: Arc<Vec<String>> = Arc::new(tags.to_vec());
-        let handles: Vec<crate::JobHandle<Vec<WorkpackageResult>>> =
-            crate::shard_ranges(wps.len(), shards)
-                .into_iter()
-                .enumerate()
-                .map(|(s, range)| {
-                    let chunk: Vec<Workpackage> = wps[range].to_vec();
-                    let steps = Arc::clone(&steps);
-                    let order = Arc::clone(&order);
-                    let tags_owned = Arc::clone(&tags_owned);
-                    slurm.submit_job(
-                        format!("{}_shard{}", self.name, s),
-                        nodes_per_shard,
-                        move || {
-                            Ok(chunk
-                                .into_iter()
-                                .map(|wp| Self::run_workpackage(&steps, &order, &tags_owned, wp))
-                                .collect())
-                        },
-                    )
-                })
-                .collect();
-        let mut collected = Vec::with_capacity(wps.len());
-        for handle in handles {
-            collected.extend(handle.join().map_err(|message| JubeError::StepFailed {
+        let order = topo_order(&self.steps)?;
+        let steps = self.steps.clone();
+        let owned_tags = tags.to_vec();
+        let workpackages = slurm
+            .map_shards(
+                &self.name,
+                self.workpackages(tags),
+                shards,
+                |_| nodes_per_shard,
+                move |wp| Self::run_workpackage(&steps, &order, &owned_tags, wp),
+            )
+            .map_err(|message| JubeError::StepFailed {
                 step: "shard".into(),
                 message,
-            })?);
-        }
+            })?;
         Ok(RunResult {
             benchmark: self.name.clone(),
             tags: tags.to_vec(),
-            workpackages: collected,
+            workpackages,
         })
     }
 }
@@ -432,10 +369,13 @@ mod tests {
 
     #[test]
     fn slurm_execution_matches_sequential() {
+        // One shard per workpackage: each workpackage is one Slurm job.
         let b = area_benchmark();
         let seq = b.run(&[]).unwrap();
         let slurm = SlurmSim::new(2);
-        let par = b.run_on(&slurm, &[], 1).unwrap();
+        let par = b
+            .run_sharded(&slurm, &[], seq.workpackages.len(), 1)
+            .unwrap();
         assert_eq!(par.workpackages.len(), seq.workpackages.len());
         for (p, s) in par.workpackages.iter().zip(&seq.workpackages) {
             assert_eq!(p.id, s.id);
@@ -489,6 +429,23 @@ mod tests {
             .records()
             .iter()
             .all(|r| r.state == JobState::Completed));
+    }
+
+    #[test]
+    fn a_panicking_step_fails_the_sharded_run() {
+        let b = Benchmark::new("panicky")
+            .with_parameter_set(ParameterSet::new("p").with(Parameter::sweep("x", [1, 2, 3, 4])))
+            .with_step(Step::new("explode", |ctx| {
+                assert_ne!(ctx.param("x").unwrap(), "3", "x is three");
+                Ok(BTreeMap::new())
+            }));
+        let slurm = SlurmSim::new(2);
+        let err = b.run_sharded(&slurm, &[], 2, 1).unwrap_err();
+        assert!(
+            matches!(&err, JubeError::StepFailed { step, message }
+                if step == "shard" && message.contains("panicky_shard1")),
+            "{err}"
+        );
     }
 
     #[test]

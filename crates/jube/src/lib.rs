@@ -16,7 +16,8 @@
 //! * [`benchmark`] — workpackage expansion (cartesian product over
 //!   multi-valued parameters) and dependency-ordered execution;
 //! * [`scheduler`] — a Slurm-like batch scheduler running jobs on a
-//!   bounded worker pool with FIFO admission, job states and accounting;
+//!   bounded worker pool with FIFO admission, job states and accounting,
+//!   and the one sharded sweep dispatcher, [`SlurmSim::map_shards`];
 //! * [`table`] — `jube result`-style tabular output (ASCII and CSV).
 
 pub mod benchmark;

@@ -7,7 +7,10 @@
 //! is full, run on a bounded worker pool sized to the partition (one
 //! worker per node — the maximum number of jobs that can hold nodes at
 //! once), and end in `Completed` or `Failed` with accounting of queue
-//! and run times.
+//! and run times. [`SlurmSim::map_shards`] is the one sharded sweep
+//! dispatcher on top: it cuts a grid into contiguous shard jobs and
+//! merges their results back in grid order, for JUBE workpackages
+//! ([`crate::Benchmark::run_sharded`]) and plain grids alike.
 //!
 //! Admission is strictly FIFO: only the job at the head of the queue is
 //! ever considered for admission, so a wide job can never be starved by
@@ -250,6 +253,63 @@ impl SlurmSim {
             slot,
             state: Arc::clone(&self.state),
         }
+    }
+
+    /// Map `f` over `points` as contiguous shard jobs on this partition,
+    /// the way JUBE submits a sweep to Slurm: [`shard_ranges`] cuts the
+    /// input into `shards` shards, and each becomes one job named
+    /// `{name}_shard{s}` that holds as many nodes as its widest point
+    /// asks for (`nodes_of`, clamped to the partition) and runs its
+    /// points in input order. Results come back in input order, equal
+    /// to `points.into_iter().map(f).collect()` whatever the shard count
+    /// or admission order. A failed shard job (a point panicked) comes
+    /// back as an `Err` naming it. An empty input submits no job.
+    pub fn map_shards<P, T, F, N>(
+        &self,
+        name: &str,
+        points: Vec<P>,
+        shards: usize,
+        nodes_of: N,
+        f: F,
+    ) -> Result<Vec<T>, String>
+    where
+        P: Send + 'static,
+        T: Send + 'static,
+        F: Fn(P) -> T + Send + Sync + 'static,
+        N: Fn(&P) -> u32,
+    {
+        let total = points.len();
+        let mut points = points.into_iter();
+        let f = Arc::new(f);
+        // Submit in input order, so FIFO admission matches shard order.
+        let handles: Vec<(String, JobHandle<Vec<T>>)> = shard_ranges(total, shards)
+            .into_iter()
+            .enumerate()
+            .map(|(s, range)| {
+                let chunk: Vec<P> = points.by_ref().take(range.len()).collect();
+                let nodes = chunk
+                    .iter()
+                    .map(&nodes_of)
+                    .max()
+                    .unwrap_or(1)
+                    .clamp(1, self.total_nodes);
+                let job = format!("{name}_shard{s}");
+                let f = Arc::clone(&f);
+                let handle = self.submit_job(job.clone(), nodes, move || {
+                    Ok(chunk.into_iter().map(|p| f(p)).collect())
+                });
+                (job, handle)
+            })
+            .collect();
+        let mut results = Vec::with_capacity(total);
+        for (job, handle) in handles {
+            results.extend(
+                handle
+                    .join()
+                    .map_err(|e| format!("job {job} failed: {e}"))?,
+            );
+        }
+        Ok(results)
     }
 
     /// Current state of a job (`squeue`/`sacct`).
@@ -500,6 +560,83 @@ mod tests {
         }
         slurm.wait_all();
         assert_eq!(slurm.pool_size(), 3, "submission must not spawn threads");
+    }
+
+    #[test]
+    fn sharded_map_merges_in_grid_order() {
+        let slurm = SlurmSim::new(4);
+        let points: Vec<u64> = (0..23).collect();
+        let serial: Vec<u64> = points.iter().map(|x| x * 3 + 1).collect();
+        let mut jobs = 0;
+        for shards in [1usize, 2, 5, 23, 40] {
+            let sharded = slurm
+                .map_shards("sweep", points.clone(), shards, |_| 1, |x| x * 3 + 1)
+                .unwrap();
+            assert_eq!(sharded, serial, "shards={shards}");
+            // One completed job per shard, submitted in shard order.
+            let records = slurm.records();
+            let new = &records[jobs..];
+            assert_eq!(new.len(), shards.min(points.len()));
+            for (s, rec) in new.iter().enumerate() {
+                assert_eq!(rec.name, format!("sweep_shard{s}"));
+                assert_eq!(rec.state, JobState::Completed);
+                assert!(rec.queue_s >= 0.0 && rec.run_s >= 0.0);
+            }
+            jobs = records.len();
+        }
+    }
+
+    #[test]
+    fn sharded_map_on_empty_grid_is_empty() {
+        let slurm = SlurmSim::new(2);
+        let sharded = slurm.map_shards("sweep", Vec::<u64>::new(), 4, |_| 1, |x| x);
+        assert_eq!(sharded, Ok(Vec::new()));
+        assert!(slurm.records().is_empty(), "no jobs for an empty grid");
+    }
+
+    #[test]
+    fn shard_nodes_derive_from_widest_point_and_clamp_to_partition() {
+        // Each point is its own node demand. Shards [1, 2], [1] and [16]
+        // want 2, 1 and 16 nodes; the 2-node partition caps the last.
+        let slurm = SlurmSim::new(2);
+        let sharded = slurm
+            .map_shards("sweep", vec![1u32, 2, 1, 16], 3, |&n| n, |n| n * 10)
+            .unwrap();
+        assert_eq!(sharded, vec![10, 20, 10, 160]);
+        let nodes: Vec<u32> = slurm.records().iter().map(|r| r.nodes).collect();
+        assert_eq!(nodes, vec![2, 1, 2]);
+    }
+
+    #[test]
+    fn a_panicking_point_fails_its_shard_as_an_err() {
+        let slurm = SlurmSim::new(2);
+        let err = slurm
+            .map_shards(
+                "sweep",
+                (0..6u32).collect(),
+                3,
+                |_| 1,
+                |x| {
+                    assert_ne!(x, 3, "point 3 panics");
+                    x
+                },
+            )
+            .unwrap_err();
+        assert!(
+            err.contains("sweep_shard1") && err.contains("panicked"),
+            "{err}"
+        );
+        // The other shards still run to completion; the partition stays
+        // usable after the failure.
+        let states: Vec<JobState> = slurm.wait_all().iter().map(|r| r.state).collect();
+        assert_eq!(
+            states,
+            vec![JobState::Completed, JobState::Failed, JobState::Completed]
+        );
+        assert_eq!(
+            slurm.map_shards("again", vec![1u32], 1, |_| 2, |x| x),
+            Ok(vec![1])
+        );
     }
 
     #[test]

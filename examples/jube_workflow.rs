@@ -23,10 +23,14 @@ fn main() {
         tags.join(" ")
     );
 
-    // A 4-node partition; each workpackage is one Slurm job.
+    // A 4-node partition; each workpackage is one Slurm job (one shard
+    // per workpackage).
     let slurm = SlurmSim::new(4);
     let benchmark = resnet50_benchmark();
-    let result = benchmark.run_on(&slurm, &tags, 1).expect("benchmark runs");
+    let jobs = benchmark.workpackages(&tags).len();
+    let result = benchmark
+        .run_sharded(&slurm, &tags, jobs, 1)
+        .expect("benchmark runs");
 
     println!("jube result resnet50_benchmark_run -i last:\n");
     let mut table = result.table(&[

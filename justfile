@@ -72,12 +72,14 @@ test-serving:
     cargo test -p caraml --test fleet_determinism -q
     CARAML_SIMD=off cargo test -p caraml --test serve_determinism --test fleet_determinism -q
 
-# Scheduler-focused slice: SlurmSim unit tests, the FIFO-starvation and
-# bounded-pool regression coverage, and the sharded-sweep equivalence
-# proptests — run both serialized and wide to shake out admission-order
-# races that only show under a particular interleaving.
+# Scheduler-focused slice: the SlurmSim and shard-dispatcher unit tests,
+# the FIFO-starvation and bounded-pool regression coverage, and the
+# one-worker ≡ default-pool ≡ sharded equivalence proptest — run both
+# serialized and wide to shake out admission-order races that only show
+# under a particular interleaving.
 test-sched:
-    cargo test -p jube scheduler -q
+    cargo test -p jube scheduler -q -- --test-threads=1
+    cargo test -p jube scheduler -q -- --test-threads=4
     cargo test -p jube --test slurm_sim -q -- --test-threads=1
     cargo test -p jube --test slurm_sim -q -- --test-threads=8
     cargo test -p caraml --test sharded_sweep -q -- --test-threads=1

@@ -5,7 +5,7 @@
 use caraml_suite::caraml::suite::{
     llm_benchmark_ipu, llm_benchmark_nvidia_amd, resnet50_benchmark,
 };
-use caraml_suite::jube::{JobState, SlurmSim};
+use caraml_suite::jube::{Benchmark, JobState, SlurmSim};
 
 fn tags(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -13,9 +13,12 @@ fn tags(list: &[&str]) -> Vec<String> {
 
 #[test]
 fn full_llm_flow_on_slurm_for_gh200() {
+    // One shard per workpackage: each workpackage is one Slurm job.
     let slurm = SlurmSim::new(2);
-    let result = llm_benchmark_nvidia_amd()
-        .run_on(&slurm, &tags(&["GH200"]), 1)
+    let bench = llm_benchmark_nvidia_amd();
+    let jobs = bench.workpackages(&tags(&["GH200"])).len();
+    let result = bench
+        .run_sharded(&slurm, &tags(&["GH200"]), jobs, 1)
         .unwrap();
     assert_eq!(result.failures(), 0);
     // Every job completed on the partition.
@@ -108,11 +111,14 @@ fn energy_columns_are_physically_plausible() {
 fn concurrent_benchmarks_share_a_partition() {
     // Two different suites submitted to the same Slurm partition must
     // both complete (no deadlock, no cross-talk).
+    // One shard per workpackage: each workpackage is one Slurm job.
     let slurm = SlurmSim::new(3);
-    let r1 = resnet50_benchmark()
-        .run_on(&slurm, &tags(&["GC200"]), 1)
-        .unwrap();
-    let r2 = llm_benchmark_ipu().run_on(&slurm, &tags(&[]), 1).unwrap();
+    let run = |bench: Benchmark, tags: &[String]| {
+        let jobs = bench.workpackages(tags).len();
+        bench.run_sharded(&slurm, tags, jobs, 1).unwrap()
+    };
+    let r1 = run(resnet50_benchmark(), &tags(&["GC200"]));
+    let r2 = run(llm_benchmark_ipu(), &tags(&[]));
     assert_eq!(r1.failures(), 0);
     assert_eq!(r2.failures(), 0);
     assert_eq!(
