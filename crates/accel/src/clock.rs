@@ -2,10 +2,10 @@
 //!
 //! Every simulated event (kernel execution, collective communication, host
 //! data staging, power samples) is ordered on a single virtual timeline
-//! measured in `f64` seconds. The clock is shared between the benchmark
-//! driver (which advances it) and the `jpwr` measurement backends (which
-//! read it while sampling power registers), so it is internally synchronised
-//! with a [`parking_lot::RwLock`] and cheap to clone.
+//! measured in `f64` seconds. The clock is shared between a simulated node
+//! (which advances it) and whoever reads the node's power registers, so it
+//! is internally synchronised with a [`parking_lot::RwLock`] and cheap to
+//! clone.
 
 use crate::error::AccelError;
 use parking_lot::RwLock;
@@ -32,13 +32,6 @@ impl VirtualClock {
         Self::default()
     }
 
-    /// Create a clock at an arbitrary starting time (seconds).
-    pub fn starting_at(t: f64) -> Self {
-        Self {
-            now: Arc::new(RwLock::new(t)),
-        }
-    }
-
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         *self.now.read()
@@ -58,19 +51,6 @@ impl VirtualClock {
         *guard += dt;
         Ok(*guard)
     }
-
-    /// Set the clock to an absolute time, which must not precede `now`.
-    pub fn set(&self, t: f64) -> Result<(), AccelError> {
-        let mut guard = self.now.write();
-        if !t.is_finite() || t < *guard {
-            return Err(AccelError::ClockWentBackwards {
-                now: *guard,
-                requested: t,
-            });
-        }
-        *guard = t;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -80,11 +60,6 @@ mod tests {
     #[test]
     fn starts_at_zero() {
         assert_eq!(VirtualClock::new().now(), 0.0);
-    }
-
-    #[test]
-    fn starting_at_offset() {
-        assert_eq!(VirtualClock::starting_at(42.0).now(), 42.0);
     }
 
     #[test]
@@ -116,15 +91,6 @@ mod tests {
         let c = VirtualClock::new();
         assert!(c.advance(f64::NAN).is_err());
         assert!(c.advance(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn set_forward_ok_backward_err() {
-        let c = VirtualClock::new();
-        c.set(10.0).unwrap();
-        assert_eq!(c.now(), 10.0);
-        assert!(c.set(5.0).is_err());
-        assert_eq!(c.now(), 10.0);
     }
 
     #[test]

@@ -1,61 +1,37 @@
-//! Simulated devices and nodes.
+//! Simulated devices and nodes: jpwr's model of the hardware it polls.
 //!
-//! [`SimDevice`] bundles one accelerator's spec, memory pool, power model
-//! and pollable power register. [`SimNode`] groups the devices of one
-//! system node (Table I) around a shared [`VirtualClock`] and drives them
-//! through timed *phases* (compute, communication, host staging, idle),
-//! each with its own utilization level — which is what produces the power
-//! traces that the `jpwr` crate measures.
+//! [`SimDevice`] bundles one accelerator's power model and pollable power
+//! register. [`SimNode`] groups the devices of one system node
+//! (Table I) around a shared [`VirtualClock`] and drives them through
+//! timed *phases* (compute, communication, host staging, idle), each with
+//! its own utilization level — which is what the `jpwr` crate's register
+//! methods (pynvml, rocm, gh, gcipuinfo) poll. The benchmark engine does
+//! not replay nodes: it folds each plan's phases straight into power step
+//! functions (`caraml::engine::meter`), and a node driven through the same
+//! phases is the reference that fold is tested against.
 
 use crate::clock::VirtualClock;
 use crate::error::AccelError;
-use crate::memory::{AllocId, MemoryPool};
 use crate::power::{PowerModel, PowerRegister};
-use crate::roofline::RooflineModel;
-use crate::spec::{DeviceSpec, Workload};
+use crate::spec::DeviceSpec;
 use crate::systems::NodeConfig;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// One simulated accelerator.
 #[derive(Debug, Clone)]
 pub struct SimDevice {
-    spec: Arc<DeviceSpec>,
     index: u32,
-    memory: Arc<Mutex<MemoryPool>>,
     register: PowerRegister,
     power_model: PowerModel,
 }
 
 impl SimDevice {
-    /// Create device `index` of a node, optionally with a Table I TDP
-    /// override.
-    pub fn new(spec: DeviceSpec, index: u32, tdp_override_w: Option<f64>) -> Self {
-        Self::from_shared(Arc::new(spec), index, tdp_override_w)
-    }
-
-    /// Like [`SimDevice::new`] but sharing an existing spec allocation —
-    /// the devices of one node (and every sweep point over the same
-    /// system) alias a single `DeviceSpec` instead of deep-cloning it.
-    pub fn from_shared(spec: Arc<DeviceSpec>, index: u32, tdp_override_w: Option<f64>) -> Self {
-        let memory = MemoryPool::new(format!("{} #{index}", spec.name), spec.mem_bytes);
-        let power_model = PowerModel::for_device(&spec, tdp_override_w);
+    /// Device `index` of a node, optionally with a Table I TDP override.
+    pub fn new(spec: &DeviceSpec, index: u32, tdp_override_w: Option<f64>) -> Self {
         SimDevice {
-            spec,
             index,
-            memory: Arc::new(Mutex::new(memory)),
             register: PowerRegister::new(),
-            power_model,
+            power_model: PowerModel::for_device(spec, tdp_override_w),
         }
-    }
-
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// Cheaply clonable handle to this device's spec.
-    pub fn shared_spec(&self) -> Arc<DeviceSpec> {
-        Arc::clone(&self.spec)
     }
 
     pub fn index(&self) -> u32 {
@@ -69,36 +45,6 @@ impl SimDevice {
 
     pub fn power_model(&self) -> &PowerModel {
         &self.power_model
-    }
-
-    /// Roofline model for a workload on this device.
-    pub fn roofline(&self, workload: Workload) -> RooflineModel {
-        RooflineModel::for_device(&self.spec, workload)
-    }
-
-    /// Allocate device memory.
-    pub fn alloc(&self, label: impl Into<String>, bytes: u64) -> Result<AllocId, AccelError> {
-        self.memory.lock().alloc(label, bytes)
-    }
-
-    /// Free device memory.
-    pub fn free(&self, id: AllocId) -> Result<u64, AccelError> {
-        self.memory.lock().free(id)
-    }
-
-    /// Bytes currently allocated.
-    pub fn mem_used(&self) -> u64 {
-        self.memory.lock().used()
-    }
-
-    /// Check a hypothetical footprint against the remaining capacity.
-    pub fn would_fit(&self, bytes: u64) -> bool {
-        self.memory.lock().would_fit(bytes)
-    }
-
-    /// Release all allocations (end of a benchmark run).
-    pub fn reset_memory(&self) {
-        self.memory.lock().reset();
     }
 
     /// Record that the device entered a phase with utilization `u` at
@@ -119,7 +65,6 @@ impl SimDevice {
 /// one virtual clock.
 #[derive(Debug, Clone)]
 pub struct SimNode {
-    config: Arc<NodeConfig>,
     devices: Vec<SimDevice>,
     clock: VirtualClock,
 }
@@ -127,39 +72,13 @@ pub struct SimNode {
 impl SimNode {
     /// Instantiate a node for a system configuration.
     pub fn new(config: NodeConfig) -> Self {
-        Self::from_shared(Arc::new(config))
-    }
-
-    /// Like [`SimNode::new`] but sharing an existing config allocation:
-    /// the devices alias one `Arc<DeviceSpec>` instead of receiving
-    /// per-device deep clones, and sweep runners instantiate many nodes
-    /// from one cached config.
-    pub fn from_shared(config: Arc<NodeConfig>) -> Self {
-        let spec = Arc::new(config.device.clone());
         let devices = (0..config.devices_per_node)
-            .map(|i| SimDevice::from_shared(Arc::clone(&spec), i, config.tdp_override_w))
+            .map(|i| SimDevice::new(&config.device, i, config.tdp_override_w))
             .collect();
         SimNode {
-            config,
             devices,
             clock: VirtualClock::new(),
         }
-    }
-
-    /// Instantiate a node sharing an existing clock (multi-node runs).
-    pub fn with_clock(config: NodeConfig, clock: VirtualClock) -> Self {
-        let mut node = Self::new(config);
-        node.clock = clock;
-        node
-    }
-
-    pub fn config(&self) -> &NodeConfig {
-        &self.config
-    }
-
-    /// Cheaply clonable handle to this node's configuration.
-    pub fn shared_config(&self) -> Arc<NodeConfig> {
-        Arc::clone(&self.config)
     }
 
     pub fn clock(&self) -> &VirtualClock {
@@ -202,18 +121,6 @@ impl SimNode {
         }
         self.clock.advance(dt)
     }
-
-    /// Energy in Wh consumed by device `i` over a virtual-time window.
-    pub fn device_energy_wh(&self, i: usize, t0: f64, t1: f64) -> f64 {
-        self.devices[i].power_register().energy_wh(t0, t1)
-    }
-
-    /// Total node energy over a window (sum over devices).
-    pub fn node_energy_wh(&self, t0: f64, t1: f64) -> f64 {
-        (0..self.devices.len())
-            .map(|i| self.device_energy_wh(i, t0, t1))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -230,22 +137,6 @@ mod tests {
         assert_eq!(a100_node().devices().len(), 4);
         let mi = SimNode::new(NodeConfig::for_system(SystemId::Mi250));
         assert_eq!(mi.devices().len(), 8);
-    }
-
-    #[test]
-    fn device_memory_isolated_per_device() {
-        let node = a100_node();
-        node.device(0).alloc("w", 1 << 30).unwrap();
-        assert_eq!(node.device(0).mem_used(), 1 << 30);
-        assert_eq!(node.device(1).mem_used(), 0);
-    }
-
-    #[test]
-    fn oom_on_a100_40gb() {
-        let node = a100_node();
-        let cap = node.device(0).spec().mem_bytes;
-        assert!(node.device(0).alloc("too big", cap + 1).is_err());
-        assert!(node.device(0).alloc("fits", cap).is_ok());
     }
 
     #[test]
@@ -276,7 +167,7 @@ mod tests {
         node.run_phase(1, 3600.0, 1.0, 330.0).unwrap(); // 1 h at 330 W
         node.idle_phase(3600.0).unwrap(); // 1 h idle
         let idle_w = node.device(0).power_model().idle_w;
-        let e = node.device_energy_wh(0, 0.0, 7200.0);
+        let e = node.device(0).power_register().energy_wh(0.0, 7200.0);
         assert!((e - (330.0 + idle_w)).abs() < 1e-6);
     }
 
@@ -285,7 +176,11 @@ mod tests {
         let node = a100_node();
         node.run_phase(4, 3600.0, 1.0, 330.0).unwrap();
         node.idle_phase(0.0).unwrap();
-        let total = node.node_energy_wh(0.0, 3600.0);
+        let total: f64 = node
+            .devices()
+            .iter()
+            .map(|d| d.power_register().energy_wh(0.0, 3600.0))
+            .sum();
         assert!((total - 4.0 * 330.0).abs() < 1e-6);
     }
 
@@ -296,37 +191,5 @@ mod tests {
         // Sustained 700 W is clamped to the 680 W package TDP.
         node.run_phase(1, 1.0, 1.0, 700.0).unwrap();
         assert!(node.device(0).power_register().read_w() <= 680.0);
-    }
-
-    #[test]
-    fn shared_clock_for_multinode() {
-        let clock = VirtualClock::new();
-        let n1 = SimNode::with_clock(NodeConfig::for_system(SystemId::A100), clock.clone());
-        let n2 = SimNode::with_clock(NodeConfig::for_system(SystemId::A100), clock.clone());
-        n1.run_phase(4, 7.0, 1.0, 330.0).unwrap();
-        assert_eq!(n2.clock().now(), 7.0);
-    }
-
-    #[test]
-    fn roofline_accessor_matches_spec() {
-        let node = a100_node();
-        let rl = node.device(0).roofline(Workload::Llm);
-        assert!((rl.mfu(1e12) - node.device(0).spec().llm.mfu_max).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reset_memory_clears_allocations() {
-        let node = a100_node();
-        node.device(0).alloc("x", 123).unwrap();
-        node.device(0).reset_memory();
-        assert_eq!(node.device(0).mem_used(), 0);
-    }
-
-    #[test]
-    fn would_fit_screening() {
-        let node = a100_node();
-        let cap = node.device(0).spec().mem_bytes;
-        assert!(node.device(0).would_fit(cap));
-        assert!(!node.device(0).would_fit(cap + 1));
     }
 }

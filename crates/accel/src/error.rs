@@ -5,16 +5,17 @@ use std::fmt;
 /// Errors produced by the accelerator simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccelError {
-    /// A device allocation exceeded the remaining memory capacity.
+    /// A configuration needs more memory than one device has: the
+    /// benchmarks' capacity checks raise it before anything runs.
     ///
     /// This is the error that paints the `OOM` cells of Figure 4 in the
     /// paper: a global batch size too large for the device memory.
     OutOfMemory {
         /// Device name (e.g. `"NVIDIA A100 (SXM4)"`).
         device: String,
-        /// Bytes requested by the failing allocation.
+        /// Bytes the configuration needs on the device.
         requested: u64,
-        /// Bytes still available before the allocation.
+        /// Bytes available to it.
         available: u64,
         /// Total capacity of the device memory.
         capacity: u64,
@@ -22,8 +23,6 @@ pub enum AccelError {
     /// A benchmark or layout configuration is not executable
     /// (e.g. batch size not divisible by data-parallel width).
     InvalidConfig(String),
-    /// A requested system, device, or link does not exist.
-    UnknownEntity(String),
     /// The virtual clock was asked to move backwards.
     ClockWentBackwards {
         /// Current virtual time in seconds.
@@ -47,7 +46,6 @@ impl fmt::Display for AccelError {
                  available {available} B of {capacity} B"
             ),
             AccelError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            AccelError::UnknownEntity(name) => write!(f, "unknown entity: {name}"),
             AccelError::ClockWentBackwards { now, requested } => write!(
                 f,
                 "virtual clock cannot move backwards (now {now} s, requested {requested} s)"
@@ -93,7 +91,6 @@ mod tests {
         };
         assert!(oom.is_oom());
         assert!(!AccelError::InvalidConfig("x".into()).is_oom());
-        assert!(!AccelError::UnknownEntity("y".into()).is_oom());
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //! * [`systems`] — full node configurations (Table I of the paper),
 //! * [`roofline`] — the execution-time model: a roofline with a
 //!   batch-dependent utilization curve plus fixed launch overhead,
-//! * [`memory`] — device memory accounting and out-of-memory detection,
 //! * [`interconnect`] — intra-node (NVLink / Infinity Fabric / IPU-Link /
 //!   PCIe) and inter-node (InfiniBand) links,
 //! * [`power`] — a utilization-driven power model with TDP caps, power
-//!   registers that a measurement tool can poll, and energy integration,
-//! * [`clock`] — the shared virtual clock that orders all simulated events,
-//! * [`device`] — [`device::SimDevice`], the object tying all of the above
-//!   together,
+//!   step functions with exact energy integration, and power registers
+//!   that a measurement tool can poll,
+//! * [`clock`] — the shared virtual clock that orders a node's events,
+//! * [`device`] — [`device::SimDevice`] and [`device::SimNode`]: devices
+//!   with pollable power registers driven through timed phases, the
+//!   hardware jpwr's register methods measure,
 //! * [`ipu`] — the Graphcore-specific execution model (on-chip SRAM limits,
 //!   graph compilation, host streaming phases).
 //!
@@ -33,7 +34,6 @@ pub mod device;
 pub mod error;
 pub mod interconnect;
 pub mod ipu;
-pub mod memory;
 pub mod power;
 pub mod precision;
 pub mod registry;
@@ -49,7 +49,6 @@ pub use clock::VirtualClock;
 pub use device::{SimDevice, SimNode};
 pub use error::AccelError;
 pub use interconnect::{Link, LinkKind};
-pub use memory::MemoryPool;
 pub use power::{PowerModel, PowerRegister, PowerTrace};
 pub use precision::Precision;
 pub use registry::{DeviceEntry, DeviceRegistry, RegistryError, EMBEDDED_DEVICE_FILES};

@@ -8,10 +8,10 @@
 //!    such as `jpwr` polls, together with the full step-function
 //!    [`PowerTrace`] on the virtual timeline.
 //!
-//! Energy is integrated exactly over the step function, and additionally a
-//! sampled integration (`integrate_sampled`) emulates jpwr's periodic
-//! polling loop including its trapezoidal quadrature, so the measurement
-//!-tool error can itself be studied.
+//! Energy is integrated exactly over the step function here; jpwr's
+//! sampler (`jpwr::measure::sample_virtual`) polls the same step function
+//! periodically and integrates with the trapezoidal rule, so the
+//! measurement-tool error can itself be studied.
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -167,33 +167,6 @@ impl PowerTrace {
             busy_s += t1 - t;
         }
         busy_s / (t1 - t0)
-    }
-
-    /// Emulate a polling measurement loop: sample the trace every
-    /// `interval_s` over `[t0, t1]` and integrate with the trapezoidal rule
-    /// — exactly what the jpwr tool does with its periodic queries.
-    /// Returns the sampled points and the trapezoidal energy in Wh.
-    pub fn integrate_sampled(&self, t0: f64, t1: f64, interval_s: f64) -> (Vec<PowerSample>, f64) {
-        assert!(interval_s > 0.0, "sampling interval must be positive");
-        let mut points = Vec::new();
-        let mut t = t0;
-        while t < t1 {
-            points.push(PowerSample {
-                time_s: t,
-                power_w: self.power_at(t),
-            });
-            t += interval_s;
-        }
-        points.push(PowerSample {
-            time_s: t1,
-            power_w: self.power_at(t1),
-        });
-        let mut joules = 0.0;
-        for pair in points.windows(2) {
-            let dt = pair[1].time_s - pair[0].time_s;
-            joules += 0.5 * (pair[0].power_w + pair[1].power_w) * dt;
-        }
-        (points, joules / 3600.0)
     }
 }
 
@@ -354,26 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_integration_matches_exact_for_constant_power() {
-        let mut t = PowerTrace::new();
-        t.push(0.0, 250.0);
-        let (pts, e) = t.integrate_sampled(0.0, 100.0, 0.1);
-        assert!((e - t.energy_wh(0.0, 100.0)).abs() < 1e-9);
-        assert!(pts.len() > 1000);
-    }
-
-    #[test]
-    fn sampled_integration_close_for_step_function() {
-        let mut t = PowerTrace::new();
-        t.push(0.0, 100.0);
-        t.push(50.0, 300.0);
-        let exact = t.energy_wh(0.0, 100.0);
-        let (_, approx) = t.integrate_sampled(0.0, 100.0, 0.05);
-        // Sampling at 50 ms misses at most one interval of the step.
-        assert!((approx - exact).abs() / exact < 1e-3);
-    }
-
-    #[test]
     fn busy_fraction_of_step_trace() {
         let mut t = PowerTrace::new();
         t.push(0.0, 300.0); // busy 10 s
@@ -418,13 +371,6 @@ mod tests {
         let r2 = r.clone();
         r.set_w(0.0, 99.0);
         assert_eq!(r2.read_w(), 99.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sampling interval")]
-    fn sampled_integration_rejects_zero_interval() {
-        let t = PowerTrace::new();
-        t.integrate_sampled(0.0, 1.0, 0.0);
     }
 }
 
@@ -471,19 +417,6 @@ mod proptests {
             let whole = trace.energy_wh(0.0, t1);
             let parts = trace.energy_wh(0.0, tm) + trace.energy_wh(tm, t1);
             prop_assert!((whole - parts).abs() < 1e-9);
-        }
-
-        /// Trapezoid sampling converges to the exact step-function energy
-        /// as the interval shrinks.
-        #[test]
-        fn sampling_converges(p1 in 50.0..300.0f64, p2 in 50.0..300.0f64) {
-            let mut trace = PowerTrace::new();
-            trace.push(0.0, p1);
-            trace.push(7.0, p2);
-            let exact = trace.energy_wh(0.0, 20.0);
-            let (_, coarse) = trace.integrate_sampled(0.0, 20.0, 1.0);
-            let (_, fine) = trace.integrate_sampled(0.0, 20.0, 0.01);
-            prop_assert!((fine - exact).abs() <= (coarse - exact).abs() + 1e-9);
         }
     }
 }

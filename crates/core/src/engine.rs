@@ -1,28 +1,29 @@
 //! The unified workload execution engine.
 //!
 //! Every benchmark family in this crate (LLM training, large-model 3D
-//! parallel training, ResNet50 training, LLM inference — on GPUs and
-//! IPUs alike) follows the same execution shape:
+//! parallel training, ResNet50 training, LLM inference, serving fleets —
+//! on GPUs and IPUs alike) follows the same execution shape:
 //!
 //! 1. validate the configuration and evaluate the cost model, yielding a
 //!    list of timed power *phases*;
-//! 2. drive a simulated node ([`SimNode`]) through those phases;
-//! 3. replay jpwr's sampling loop over a measurement window of the
-//!    virtual timeline;
+//! 2. fold the phases into one power step function per metered device;
+//! 3. sample those step functions with jpwr's polling loop over a
+//!    measurement window of the virtual timeline;
 //! 4. derive figures of merit from the sampled power trace.
 //!
-//! Before this module existed, each benchmark owned steps 2–3 privately
-//! (its own `SimNode::new`, its own `virtual_sources` + `sample_virtual`
-//! calls). The [`Workload`] trait makes the split explicit: a workload
-//! *plans* (step 1, pure cost-model math) and *finishes* (step 4, pure
-//! FOM arithmetic); the engine owns the node and meter lifecycle in
-//! between. [`RunContext`] is the only place in the crate that
-//! constructs a node or a power meter; a parameter grid executes many
-//! plans in parallel through rayon's ordered `into_par_iter()`.
+//! The [`Workload`] trait makes the split explicit: a workload *plans*
+//! (step 1, pure cost-model math against the shared [`NodeConfig`]) and
+//! *finishes* (step 4, pure FOM arithmetic); the engine owns steps 2–3.
+//! [`meter`] is the crate's one metering path — the fleet meters each
+//! replica's phase schedule through it too. It replays no simulated node:
+//! a phase list already is the step function a node's power register would
+//! record, so folding it gives the same samples bit for bit (pinned
+//! against a driven `SimNode` by `tests/meter_fold_equivalence.rs`). A
+//! parameter grid executes many plans in parallel through rayon's ordered
+//! `into_par_iter()`.
 
-use caraml_accel::{AccelError, NodeConfig, PhaseKind, SimDevice, SimNode, SystemId, Timeline};
-use jpwr::{Measurement, PowerMeasurement};
-use std::sync::Arc;
+use caraml_accel::{AccelError, NodeConfig, PhaseKind, PowerModel, PowerTrace, SystemId, Timeline};
+use jpwr::{sample_virtual, Measurement};
 
 /// One timed power phase of a plan: `active` devices run at `utilization`
 /// (relative to the workload's `sustained_w` power level) for
@@ -61,25 +62,16 @@ pub struct MeterSpec {
     pub window: (f64, f64),
 }
 
-/// The executable part of a plan: device-0 allocations held for the run,
-/// the phase sequence, and the measurement to take afterwards.
+/// The executable part of a plan: the phase sequence and the measurement
+/// to take over it. Memory capacity is the plan's own check, made before
+/// it returns.
 #[derive(Debug, Clone)]
 pub struct PhasePlan {
-    /// `(label, bytes)` allocations made on device 0 before the phases
-    /// (the training state of the LLM benchmark).
-    pub allocations: Vec<(&'static str, u64)>,
     pub phases: Vec<PhaseSpec>,
     pub meter: MeterSpec,
     /// Devices recorded in the execution timeline (0 disables tracing;
     /// benchmarks whose run type carries no timeline skip the work).
     pub timeline_devices: u32,
-}
-
-impl PhasePlan {
-    /// Sum of all phase durations (including skipped zero phases).
-    pub fn total_duration_s(&self) -> f64 {
-        self.phases.iter().map(|p| p.duration_s).sum()
-    }
 }
 
 /// What the engine hands back to [`Workload::finish`]: the jpwr
@@ -102,60 +94,15 @@ pub trait Workload {
     /// The completed run type (e.g. `LlmRun`).
     type Output;
 
-    /// System whose node the engine instantiates for this run.
+    /// System whose shared node configuration the run uses.
     fn system(&self) -> SystemId;
 
-    /// Validate and evaluate the cost model. Pure math plus read-only
-    /// queries against the context's node (specs, rooflines, memory
-    /// capacity); must not drive phases or sample power itself.
-    fn plan(&self, ctx: &RunContext) -> Result<(Self::Plan, PhasePlan), AccelError>;
+    /// Validate and evaluate the cost model. Pure math against the
+    /// system's node configuration (specs, rooflines, memory capacity).
+    fn plan(&self, cfg: &NodeConfig) -> Result<(Self::Plan, PhasePlan), AccelError>;
 
     /// Derive the figures of merit from the executed phases.
-    fn finish(&self, plan: Self::Plan, exec: Executed, ctx: &RunContext) -> Self::Output;
-}
-
-/// The engine-owned execution state of one run: the simulated node (and
-/// through it the virtual clock), metered once by jpwr after the phases.
-///
-/// This is the **only** place in the benchmark crate that constructs
-/// [`SimNode`]s and [`PowerMeasurement`]s; workloads receive a context
-/// instead of building their own.
-pub struct RunContext {
-    node: SimNode,
-}
-
-impl RunContext {
-    /// Fresh context for a system, sharing the process-wide cached
-    /// [`NodeConfig`] allocation.
-    pub fn for_system(id: SystemId) -> Self {
-        Self::from_shared(NodeConfig::shared(id))
-    }
-
-    /// Fresh context over an explicit shared node configuration.
-    pub fn from_shared(config: Arc<NodeConfig>) -> Self {
-        RunContext {
-            node: SimNode::from_shared(config),
-        }
-    }
-
-    pub fn node(&self) -> &SimNode {
-        &self.node
-    }
-
-    pub fn config(&self) -> &NodeConfig {
-        self.node.config()
-    }
-
-    pub fn device(&self, i: usize) -> &SimDevice {
-        self.node.device(i)
-    }
-
-    /// A jpwr meter over the leading `devices`. The power registers are
-    /// shared with the devices, so the meter sees every phase the node
-    /// has run.
-    pub fn power_meter(&self, devices: usize, prefix: &str, method: &str) -> PowerMeasurement {
-        PowerMeasurement::new(&self.node.devices()[..devices], prefix, method)
-    }
+    fn finish(&self, plan: Self::Plan, exec: Executed, cfg: &NodeConfig) -> Self::Output;
 }
 
 /// The structured outcome of a run, replacing ad-hoc `Result` plumbing
@@ -269,49 +216,84 @@ impl<T> RunOutcome<T> {
     }
 }
 
-/// Execute a workload in a fresh context for its system.
+/// Execute a workload on the shared node configuration of its system.
 pub fn execute<W: Workload>(w: &W) -> RunOutcome<W::Output> {
-    let ctx = RunContext::for_system(w.system());
-    let (plan, phase_plan) = match w.plan(&ctx) {
+    let cfg = NodeConfig::shared(w.system());
+    let (plan, phase_plan) = match w.plan(&cfg) {
         Ok(p) => p,
         Err(e) => return RunOutcome::from_error(e),
     };
-    let exec = match run_plan(&ctx, &phase_plan) {
+    let exec = match run_plan(&cfg, &phase_plan) {
         Ok(x) => x,
         Err(e) => return RunOutcome::from_error(e),
     };
-    RunOutcome::Completed(w.finish(plan, exec, &ctx))
+    RunOutcome::Completed(w.finish(plan, exec, &cfg))
 }
 
-/// Drive the node through the plan's phases and take the measurement.
-fn run_plan(ctx: &RunContext, plan: &PhasePlan) -> Result<Executed, AccelError> {
-    let node = ctx.node();
-    for (label, bytes) in &plan.allocations {
-        node.device(0).alloc(*label, *bytes)?;
-    }
+/// Meter the plan's phases and record its timeline.
+fn run_plan(cfg: &NodeConfig, plan: &PhasePlan) -> Result<Executed, AccelError> {
+    let (measurement, _) = meter(cfg, &plan.phases, &plan.meter)?;
     let mut timeline = Timeline::new();
     let mut t0 = 0.0;
     for p in &plan.phases {
-        if p.duration_s > 0.0 {
-            node.run_phase(p.active, p.duration_s, p.utilization, p.sustained_w)?;
-        }
         for d in 0..plan.timeline_devices {
             timeline.record(d, p.kind, p.label, t0, p.duration_s);
         }
         t0 += p.duration_s;
     }
-    node.idle_phase(0.0)?;
-
-    let meter = ctx.power_meter(plan.meter.devices, plan.meter.prefix, plan.meter.method);
-    let measurement = meter.sample(
-        plan.meter.interval_s,
-        plan.meter.window.0,
-        plan.meter.window.1,
-    );
     Ok(Executed {
         measurement,
         timeline,
     })
+}
+
+/// Fold `phases` into the power step functions of the leading
+/// `spec.devices` devices of a `cfg` node, and sample them with jpwr over
+/// `spec.window`. Returns the measurement and the step functions.
+///
+/// Each phase of positive duration sets every metered device's power at
+/// the phase start: devices below `active` draw the device power model's
+/// `power_w(utilization, sustained_w)` (Table I TDP override applied), the
+/// rest idle. Start times add durations in order from 0, and a closing
+/// change to idle marks the end of the run. A duration that is not
+/// finite stops the run with the error the virtual clock raises for it.
+pub fn meter(
+    cfg: &NodeConfig,
+    phases: &[PhaseSpec],
+    spec: &MeterSpec,
+) -> Result<(Measurement, Vec<PowerTrace>), AccelError> {
+    let model = PowerModel::for_device(&cfg.device, cfg.tdp_override_w);
+    let mut traces = vec![PowerTrace::new(); spec.devices];
+    let mut t = 0.0;
+    for p in phases.iter().filter(|p| p.duration_s > 0.0) {
+        let busy_w = model.power_w(p.utilization, p.sustained_w);
+        for (i, trace) in traces.iter_mut().enumerate() {
+            trace.push(t, if i < p.active { busy_w } else { model.idle_w });
+        }
+        if !p.duration_s.is_finite() {
+            return Err(AccelError::ClockWentBackwards {
+                now: t,
+                requested: t + p.duration_s,
+            });
+        }
+        t += p.duration_s;
+    }
+    for trace in &mut traces {
+        trace.push(t, model.idle_w);
+    }
+    let sources: Vec<_> = traces
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| {
+            (
+                format!("{}{i}", spec.prefix),
+                spec.method.to_string(),
+                trace,
+            )
+        })
+        .collect();
+    let measurement = sample_virtual(&sources, spec.interval_s, spec.window.0, spec.window.1);
+    Ok((measurement, traces))
 }
 
 #[cfg(test)]
@@ -332,17 +314,16 @@ mod tests {
             self.system
         }
 
-        fn plan(&self, ctx: &RunContext) -> Result<(f64, PhasePlan), AccelError> {
+        fn plan(&self, cfg: &NodeConfig) -> Result<(f64, PhasePlan), AccelError> {
             if self.duration_s <= 0.0 {
                 return Err(AccelError::InvalidConfig(
                     "duration must be positive".into(),
                 ));
             }
-            let sustained = ctx.device(0).spec().llm.sustained_w;
+            let sustained = cfg.device.llm.sustained_w;
             Ok((
                 self.duration_s,
                 PhasePlan {
-                    allocations: vec![],
                     phases: vec![PhaseSpec {
                         kind: PhaseKind::Compute,
                         label: "toy compute",
@@ -363,7 +344,7 @@ mod tests {
             ))
         }
 
-        fn finish(&self, _plan: f64, exec: Executed, _ctx: &RunContext) -> f64 {
+        fn finish(&self, _plan: f64, exec: Executed, _cfg: &NodeConfig) -> f64 {
             exec.measurement.df.energy_wh(0)
         }
     }
@@ -405,73 +386,69 @@ mod tests {
         assert_eq!(out.into_result().unwrap_err(), err);
     }
 
-    #[test]
-    fn zero_duration_phases_are_skipped() {
-        // Identical register traces whether a zero-length stall phase is
-        // in the plan or not: the engine skips it, as the hand-written
-        // benchmarks' `if t_stall > 0.0` guards used to.
-        let ctx = RunContext::for_system(SystemId::A100);
-        let sustained = ctx.device(0).spec().llm.sustained_w;
-        let plan = PhasePlan {
-            allocations: vec![],
-            phases: vec![
-                PhaseSpec {
-                    kind: PhaseKind::Compute,
-                    label: "c",
-                    active: 1,
-                    duration_s: 10.0,
-                    utilization: 1.0,
-                    sustained_w: sustained,
-                },
-                PhaseSpec {
-                    kind: PhaseKind::Staging,
-                    label: "s",
-                    active: 1,
-                    duration_s: 0.0,
-                    utilization: 0.15,
-                    sustained_w: sustained,
-                },
-            ],
+    fn phase(kind: PhaseKind, duration_s: f64, utilization: f64) -> PhaseSpec {
+        PhaseSpec {
+            kind,
+            label: "p",
+            active: 1,
+            duration_s,
+            utilization,
+            sustained_w: 330.0,
+        }
+    }
+
+    fn plan(phases: Vec<PhaseSpec>, devices: usize) -> PhasePlan {
+        PhasePlan {
+            phases,
             meter: MeterSpec {
-                devices: 1,
+                devices,
                 prefix: "dev",
                 method: "pynvml",
                 interval_s: 1.0,
                 window: (0.0, 10.0),
             },
             timeline_devices: 1,
-        };
-        let exec = run_plan(&ctx, &plan).unwrap();
-        // The zero phase neither advanced the clock nor entered the
-        // timeline.
-        assert_eq!(ctx.node().clock().now(), 10.0);
+        }
+    }
+
+    #[test]
+    fn zero_duration_phases_are_skipped() {
+        // A zero-length stall phase folds to nothing: the step functions
+        // and samples equal those of the plan without it, as the
+        // hand-written benchmarks' `if t_stall > 0.0` guards used to.
+        let cfg = NodeConfig::shared(SystemId::A100);
+        let compute = phase(PhaseKind::Compute, 10.0, 1.0);
+        let with_stall = plan(
+            vec![compute.clone(), phase(PhaseKind::Staging, 0.0, 0.15)],
+            1,
+        );
+        let bare = plan(vec![compute], 1);
+        let (m, traces) = meter(&cfg, &with_stall.phases, &with_stall.meter).unwrap();
+        let (bare_m, bare_traces) = meter(&cfg, &bare.phases, &bare.meter).unwrap();
+        // One change at the start, the closing idle change at 10 s.
+        let changes: Vec<_> = traces[0].samples().iter().map(|c| c.time_s).collect();
+        assert_eq!(changes, [0.0, 10.0]);
+        assert_eq!(traces[0].samples(), bare_traces[0].samples());
+        assert_eq!(m.df.values, bare_m.df.values);
+        // The zero phase did not enter the timeline either.
+        let exec = run_plan(&cfg, &with_stall).unwrap();
         assert_eq!(exec.timeline.events().len(), 1);
     }
 
     #[test]
-    fn power_meter_covers_the_leading_devices() {
-        let ctx = RunContext::for_system(SystemId::A100);
-        assert_eq!(ctx.power_meter(2, "dev", "pynvml").num_sources(), 2);
-        assert_eq!(ctx.power_meter(1, "dev", "pynvml").num_sources(), 1);
-    }
-
-    #[test]
-    fn allocations_are_applied_to_device_zero() {
-        let ctx = RunContext::for_system(SystemId::A100);
-        let plan = PhasePlan {
-            allocations: vec![("state", 1 << 30)],
-            phases: vec![],
-            meter: MeterSpec {
-                devices: 1,
-                prefix: "dev",
-                method: "pynvml",
-                interval_s: 1.0,
-                window: (0.0, 0.0),
-            },
-            timeline_devices: 0,
-        };
-        run_plan(&ctx, &plan).unwrap();
-        assert_eq!(ctx.device(0).mem_used(), 1 << 30);
-        assert_eq!(ctx.device(1).mem_used(), 0);
+    fn meter_covers_the_leading_devices() {
+        let cfg = NodeConfig::shared(SystemId::A100);
+        let phases = vec![phase(PhaseKind::Compute, 10.0, 1.0)];
+        let two = plan(phases.clone(), 2);
+        let (m, traces) = meter(&cfg, &two.phases, &two.meter).unwrap();
+        assert_eq!(traces.len(), 2);
+        assert_eq!(m.df.columns, ["dev0", "dev1"]);
+        // Device 1 is outside the phase's one active device: it idles.
+        let idle_w = PowerModel::for_device(&cfg.device, cfg.tdp_override_w).idle_w;
+        assert!(m.df.values[1].iter().all(|&w| w == idle_w));
+        assert!(m.df.values[0][0] > idle_w);
+        let one = plan(phases, 1);
+        let (m, _) = meter(&cfg, &one.phases, &one.meter).unwrap();
+        assert_eq!(m.df.columns, ["dev0"]);
     }
 }

@@ -34,7 +34,7 @@
 //! affinity stickiness, budget-aware least-load routing, autoscaler
 //! hysteresis, and the prefix-reuse bound.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
+use crate::engine::{self, MeterSpec, PhaseSpec};
 use crate::fom::FleetFom;
 use crate::serve::{
     arrival_trace, Request, RequestOutcome, RequestRecord, RequestSummary, ServeBenchmark,
@@ -42,7 +42,8 @@ use crate::serve::{
 };
 use caraml_accel::spec::{DeviceSpec, Workload as SpecWorkload};
 use caraml_accel::{
-    AccelError, KernelProfile, Link, NodeConfig, PhaseKind, Precision, RooflineModel, SystemId,
+    AccelError, KernelProfile, Link, NodeConfig, PhaseKind, PowerModel, Precision, RooflineModel,
+    SystemId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -398,19 +399,31 @@ impl FleetBenchmark {
         Ok(self.assemble_fom(point, &report, &meters))
     }
 
-    /// Meter every replica's phase schedule through the engine, one
-    /// fresh [`RunContext`] per replica, in id order — deterministic.
+    /// Meter every replica's phase schedule through the engine's
+    /// [`engine::meter`], in id order — deterministic. Weight memory was
+    /// checked against the device by [`Self::validate`].
     pub(crate) fn meter(&self, report: &FleetReport) -> Result<Vec<ReplicaMeter>, AccelError> {
+        let node = NodeConfig::shared(self.config.serve.system);
+        let makespan = report.makespan_s.max(f64::MIN_POSITIVE);
+        let spec = MeterSpec {
+            devices: 1,
+            prefix: "dev",
+            method: "pynvml",
+            interval_s: (makespan / 600.0).max(1e-4),
+            window: (0.0, makespan),
+        };
+        let busy_above_w = PowerModel::for_device(&node.device, node.tdp_override_w).idle_w + 1.0;
         report
             .replicas
             .iter()
             .map(|replica| {
-                engine::execute(&ReplicaPhases {
-                    system: self.config.serve.system,
-                    replica,
-                    makespan_s: report.makespan_s,
+                let (m, traces) = engine::meter(&node, &replica.phases, &spec)?;
+                Ok(ReplicaMeter {
+                    energy_wh: m.df.energy_wh(0),
+                    mean_power_w: m.mean_power_w(0),
+                    peak_power_w: m.peak_power_w(0),
+                    busy_fraction: traces[0].busy_fraction(0.0, makespan, busy_above_w),
                 })
-                .into_result()
             })
             .collect()
     }
@@ -1402,56 +1415,6 @@ pub(crate) struct ReplicaMeter {
     pub(crate) peak_power_w: f64,
     /// Fraction of the makespan the device spent above its idle floor.
     pub(crate) busy_fraction: f64,
-}
-
-/// One replica's phase schedule as an engine workload, for power
-/// metering on a fresh context.
-struct ReplicaPhases<'a> {
-    system: SystemId,
-    replica: &'a ReplicaReport,
-    makespan_s: f64,
-}
-
-impl engine::Workload for ReplicaPhases<'_> {
-    type Plan = ();
-    type Output = ReplicaMeter;
-
-    fn system(&self) -> SystemId {
-        self.system
-    }
-
-    fn plan(&self, _ctx: &RunContext) -> Result<((), PhasePlan), AccelError> {
-        let makespan = self.makespan_s.max(f64::MIN_POSITIVE);
-        Ok((
-            (),
-            PhasePlan {
-                allocations: vec![("weights", self.replica.weight_bytes)],
-                phases: self.replica.phases.clone(),
-                meter: MeterSpec {
-                    devices: 1,
-                    prefix: "dev",
-                    method: "pynvml",
-                    interval_s: (makespan / 600.0).max(1e-4),
-                    window: (0.0, makespan),
-                },
-                timeline_devices: 0,
-            },
-        ))
-    }
-
-    fn finish(&self, _plan: (), exec: Executed, ctx: &RunContext) -> ReplicaMeter {
-        let device = ctx.device(0);
-        ReplicaMeter {
-            energy_wh: exec.measurement.df.energy_wh(0),
-            mean_power_w: exec.measurement.mean_power_w(0),
-            peak_power_w: exec.measurement.peak_power_w(0),
-            busy_fraction: device.power_register().busy_fraction(
-                0.0,
-                self.makespan_s.max(f64::MIN_POSITIVE),
-                device.power_model().idle_w + 1.0,
-            ),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! it crosses the ridge point — the classic inference throughput/latency
 //! trade-off.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
+use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec};
 use crate::fleet::ServeCost;
-use caraml_accel::{AccelError, PhaseKind, Precision, SystemId};
+use caraml_accel::{AccelError, NodeConfig, PhaseKind, Precision, SystemId};
 use caraml_models::GptConfig;
 use serde::{Deserialize, Serialize};
 
@@ -99,7 +99,7 @@ impl engine::Workload for InferenceWorkload<'_> {
         self.bench.system
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(InferencePlanState, PhasePlan), AccelError> {
+    fn plan(&self, cfg: &NodeConfig) -> Result<(InferencePlanState, PhasePlan), AccelError> {
         let bench = self.bench;
         let batch = self.batch;
         if batch == 0 {
@@ -110,7 +110,7 @@ impl engine::Workload for InferenceWorkload<'_> {
                 "inference path models the GPU systems".into(),
             ));
         }
-        let spec = ctx.device(0).spec();
+        let spec = &cfg.device;
         let cost = ServeCost::new(spec, &bench.model, bench.precision);
 
         // Weights + KV cache at the selected precision must fit.
@@ -146,7 +146,6 @@ impl engine::Workload for InferenceWorkload<'_> {
         let total = ttft + t_decode;
 
         let phase_plan = PhasePlan {
-            allocations: vec![],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Compute,
@@ -186,11 +185,11 @@ impl engine::Workload for InferenceWorkload<'_> {
         ))
     }
 
-    fn finish(&self, plan: InferencePlanState, exec: Executed, ctx: &RunContext) -> InferenceFom {
+    fn finish(&self, plan: InferencePlanState, exec: Executed, cfg: &NodeConfig) -> InferenceFom {
         let bench = self.bench;
         let energy_wh = exec.measurement.df.energy_wh(0);
         InferenceFom {
-            system: ctx.config().platform.clone(),
+            system: cfg.platform.clone(),
             precision: bench.precision,
             batch: self.batch,
             prompt_tokens: bench.prompt_tokens,

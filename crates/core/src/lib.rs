@@ -22,11 +22,11 @@
 //! * [`report`] — figure/table renderers (series plots as aligned text,
 //!   heatmaps with OOM cells).
 //!
-//! Execution happens on the `caraml-accel` simulator through the
+//! Execution happens on the `caraml-accel` simulator's models through the
 //! [`engine`]: every benchmark implements [`engine::Workload`] (a cost
-//! model producing timed phases plus FOM extraction), the engine's
-//! [`engine::RunContext`] owns the [`caraml_accel::SimNode`] and builds
-//! the jpwr meter. Grids run in parallel through rayon's ordered
+//! model producing timed phases plus FOM extraction), and the engine's
+//! one metering path, [`engine::meter`], folds the phases into power step
+//! functions that jpwr's loop samples. Grids run in parallel through rayon's ordered
 //! `into_par_iter().map(f).collect()`; serving and fleet grids run as
 //! [`scenario::SweepSpec`]s through [`scenario::Scenario::execute`]; and
 //! sharded grids run through one dispatcher, [`jube::SlurmSim::map_shards`].
@@ -49,7 +49,7 @@ pub use continuous::{
     Baseline, ContinuousError, Direction, Finding, History, HistoryRecord, RegressionReport,
     Verdict,
 };
-pub use engine::{Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext, RunOutcome, Workload};
+pub use engine::{Executed, MeterSpec, PhasePlan, PhaseSpec, RunOutcome, Workload};
 pub use fleet::{
     AutoscaleConfig, FleetBenchmark, FleetConfig, FleetReport, RouteDecision, RoutePolicy,
     ScaleEvent, ScaleKind,

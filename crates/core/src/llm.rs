@@ -5,18 +5,18 @@
 //! elapsed_time_per_iteration` on GPUs; on the Graphcore IPU the global
 //! batch is given in tokens and divided by the iteration time directly.
 //!
-//! The GPU path drives a [`SimNode`] through per-window phases — compute
-//! (roofline-timed), host staging stalls, gradient all-reduce — and
-//! measures device energy by replaying jpwr's sampling loop over the
-//! virtual timeline. The IPU path follows the calibrated
+//! The GPU path plans per-window phases — compute (roofline-timed), host
+//! staging stalls, gradient all-reduce — and measures device energy with
+//! jpwr's sampling loop over the step functions the engine folds them
+//! into. The IPU path follows the calibrated
 //! [`caraml_accel::ipu::IpuGptModel`] protocol that reproduces Table II.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
+use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec};
 use crate::fom::LlmFom;
 use caraml_accel::affinity::{BindingPolicy, NumaTopology};
 use caraml_accel::ipu::{IpuGptModel, POD4_IPUS};
 use caraml_accel::spec::Workload;
-use caraml_accel::{AccelError, NodeConfig, PhaseKind, SystemId, Timeline};
+use caraml_accel::{AccelError, NodeConfig, PhaseKind, RooflineModel, SystemId, Timeline};
 use caraml_models::gpt::cost::GptCost;
 use caraml_models::GptConfig;
 use caraml_parallel::comm::CollectiveModel;
@@ -146,7 +146,7 @@ impl engine::Workload for LlmWorkload<'_> {
         self.bench.system
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(LlmPlanState, PhasePlan), AccelError> {
+    fn plan(&self, node_cfg: &NodeConfig) -> Result<(LlmPlanState, PhasePlan), AccelError> {
         let bench = self.bench;
         let global_batch = self.global_batch;
         if bench.system == SystemId::Gc200 {
@@ -154,7 +154,6 @@ impl engine::Workload for LlmWorkload<'_> {
                 "use run_ipu for the Graphcore system (batch in tokens)".into(),
             ));
         }
-        let node_cfg = ctx.config();
         let devices = bench.devices.min(node_cfg.devices_per_node);
         let dp = devices;
         // "global batch size of 16 is not possible since it is not
@@ -171,13 +170,13 @@ impl engine::Workload for LlmWorkload<'_> {
         // Memory check (the 800M model fits everywhere in the paper; the
         // 13B/175B configs would fail here without model parallelism).
         let mem_needed = cost.memory_bytes_per_device(bench.micro_batch, 1, 1, dp, true);
-        let dev0 = ctx.device(0);
-        if !dev0.would_fit(mem_needed) {
+        let spec = &node_cfg.device;
+        if mem_needed > spec.mem_bytes {
             return Err(AccelError::OutOfMemory {
-                device: dev0.spec().name.clone(),
+                device: spec.name.clone(),
                 requested: mem_needed,
-                available: dev0.spec().mem_bytes,
-                capacity: dev0.spec().mem_bytes,
+                available: spec.mem_bytes,
+                capacity: spec.mem_bytes,
             });
         }
 
@@ -188,8 +187,8 @@ impl engine::Workload for LlmWorkload<'_> {
         let per_device_batch = global_batch as f64 / f64::from(dp);
         let micro_steps = global_batch / u64::from(dp) / u64::from(bench.micro_batch);
 
-        let roofline = dev0.roofline(Workload::Llm);
-        let calib = dev0.spec().llm;
+        let roofline = RooflineModel::for_device(spec, Workload::Llm);
+        let calib = spec.llm;
         let profile = cost.iteration_profile(tokens_per_device);
         let est = roofline.estimate(&profile, per_device_batch);
         // Mis-bound tasks slow the host-side launch path (§V-C).
@@ -228,7 +227,6 @@ impl engine::Workload for LlmWorkload<'_> {
         let total_s = iters * t_iter;
 
         let phase_plan = PhasePlan {
-            allocations: vec![("training state", mem_needed)],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Compute,
@@ -279,7 +277,7 @@ impl engine::Workload for LlmWorkload<'_> {
         ))
     }
 
-    fn finish(&self, plan: LlmPlanState, exec: Executed, _ctx: &RunContext) -> LlmRun {
+    fn finish(&self, plan: LlmPlanState, exec: Executed, _cfg: &NodeConfig) -> LlmRun {
         let bench = self.bench;
         let m = exec.measurement;
         let energy_wh_per_device = m.df.energy_all_wh().iter().sum::<f64>() / plan.active as f64
@@ -333,10 +331,10 @@ impl engine::Workload for IpuGptWorkload {
         SystemId::Gc200
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(IpuGptPlanState, PhasePlan), AccelError> {
+    fn plan(&self, cfg: &NodeConfig) -> Result<(IpuGptPlanState, PhasePlan), AccelError> {
         let model = IpuGptModel::default();
         let active = POD4_IPUS as usize;
-        let spec = ctx.device(0).spec();
+        let spec = &cfg.device;
 
         // Phase 1: setup (graph load, host I/O) at the setup power level.
         // Phase 2: host→IPU streaming from chip-external DRAM.
@@ -349,7 +347,6 @@ impl engine::Workload for IpuGptWorkload {
         let total_s = model.setup_s + stream_s + iter_s;
 
         let phase_plan = PhasePlan {
-            allocations: vec![],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Setup,
@@ -397,7 +394,7 @@ impl engine::Workload for IpuGptWorkload {
         ))
     }
 
-    fn finish(&self, plan: IpuGptPlanState, exec: Executed, _ctx: &RunContext) -> LlmRun {
+    fn finish(&self, plan: IpuGptPlanState, exec: Executed, _cfg: &NodeConfig) -> LlmRun {
         let m = exec.measurement;
         let energy_wh_per_device = m.df.energy_all_wh().iter().sum::<f64>() / plan.active as f64;
         LlmRun {
@@ -577,6 +574,27 @@ mod tests {
         b.devices = 8;
         assert!(matches!(b.run(16), Err(AccelError::InvalidConfig(_))));
         assert!(b.run(32).is_ok());
+    }
+
+    #[test]
+    fn oversized_training_state_is_oom_against_device_capacity() {
+        // The plan's capacity check is the only memory check: 175B
+        // training state without model parallelism cannot fit an A100.
+        let mut b = quick(SystemId::A100);
+        b.model = GptConfig::gpt_175b();
+        let capacity = NodeConfig::for_system(SystemId::A100).device.mem_bytes;
+        match b.run(256) {
+            Err(AccelError::OutOfMemory {
+                requested,
+                available,
+                capacity: cap,
+                ..
+            }) => {
+                assert!(requested > capacity);
+                assert_eq!((available, cap), (capacity, capacity));
+            }
+            other => panic!("expected OOM, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //! all-reduces over the intra-node fabric, and the data-parallel gradient
 //! all-reduce over the inter-node InfiniBand.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
+use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec};
 use crate::fom::LlmFom;
 use caraml_accel::spec::Workload;
-use caraml_accel::{AccelError, NodeConfig, PhaseKind, SystemId};
+use caraml_accel::{AccelError, NodeConfig, PhaseKind, RooflineModel, SystemId};
 use caraml_models::gpt::cost::GptCost;
 use caraml_models::GptConfig;
 use caraml_parallel::comm::CollectiveModel;
@@ -116,10 +116,9 @@ impl engine::Workload for LargeModelWorkload<'_> {
         self.bench.system
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(LargeModelPlanState, PhasePlan), AccelError> {
+    fn plan(&self, node_cfg: &NodeConfig) -> Result<(LargeModelPlanState, PhasePlan), AccelError> {
         let bench = self.bench;
         let global_batch = self.global_batch;
-        let node_cfg = ctx.config();
         if bench.nodes == 0 || bench.nodes > node_cfg.max_nodes {
             return Err(AccelError::InvalidConfig(format!(
                 "{} nodes outside 1..={} for {}",
@@ -151,9 +150,8 @@ impl engine::Workload for LargeModelWorkload<'_> {
         let micro_batches = layout.num_micro_batches(global_batch);
 
         // --- compute time per iteration (per device) ---
-        let dev0 = ctx.device(0);
-        let roofline = dev0.roofline(Workload::Llm);
-        let calib = dev0.spec().llm;
+        let roofline = RooflineModel::for_device(&node_cfg.device, Workload::Llm);
+        let calib = node_cfg.device.llm;
         let profile = cost.iteration_profile(tokens_per_device);
         let est = roofline.estimate(&profile, per_device_batch);
         let t_compute_raw = est.compute_s.max(est.memory_s)
@@ -208,7 +206,6 @@ impl engine::Workload for LargeModelWorkload<'_> {
         let total_s = iters * t_iter;
 
         let phase_plan = PhasePlan {
-            allocations: vec![],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Compute,
@@ -254,7 +251,7 @@ impl engine::Workload for LargeModelWorkload<'_> {
         ))
     }
 
-    fn finish(&self, plan: LargeModelPlanState, exec: Executed, ctx: &RunContext) -> LargeModelRun {
+    fn finish(&self, plan: LargeModelPlanState, exec: Executed, cfg: &NodeConfig) -> LargeModelRun {
         let bench = self.bench;
         let m = exec.measurement;
         let energy_wh_per_device = m.df.energy_all_wh().iter().sum::<f64>() / plan.active as f64
@@ -264,12 +261,7 @@ impl engine::Workload for LargeModelWorkload<'_> {
             plan.tokens_per_iter as f64 / plan.t_iter / f64::from(plan.devices);
         LargeModelRun {
             fom: LlmFom {
-                system: format!(
-                    "{} x{} ({})",
-                    ctx.config().platform,
-                    bench.nodes,
-                    plan.layout
-                ),
+                system: format!("{} x{} ({})", cfg.platform, bench.nodes, plan.layout),
                 global_batch: self.global_batch,
                 devices: plan.devices,
                 tokens_per_s_per_device,

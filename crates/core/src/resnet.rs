@@ -7,7 +7,7 @@
 //! for systems with an InfiniBand interconnect in Table I — to multiple
 //! nodes, giving the Fig. 4 heatmaps with their OOM cells.
 
-use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec, RunContext};
+use crate::engine::{self, Executed, MeterSpec, PhasePlan, PhaseSpec};
 use crate::fom::{CvFom, HeatmapCell};
 use caraml_accel::affinity::{BindingPolicy, NumaTopology};
 use caraml_accel::ipu::{IpuResnetModel, GRAPH_COMPILE_S, GRAPH_COMPILE_W};
@@ -262,16 +262,16 @@ impl engine::Workload for ResnetWorkload<'_> {
         self.bench.system
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(ResnetPlanState, PhasePlan), AccelError> {
+    fn plan(&self, cfg: &NodeConfig) -> Result<(ResnetPlanState, PhasePlan), AccelError> {
         let bench = self.bench;
         let global_batch = self.global_batch;
         let it = bench.iteration_time(global_batch)?;
-        let active = bench.devices.min(ctx.config().devices_per_node) as usize;
+        let active = bench.devices.min(cfg.devices_per_node) as usize;
 
         let iters = (bench.epoch_images as f64 / global_batch as f64)
             .ceil()
             .max(1.0);
-        let spec = ctx.device(0).spec();
+        let spec = &cfg.device;
         let mut sustained = spec.cv.sustained_w;
         if bench.system == SystemId::Mi250 && bench.devices >= 2 {
             sustained *= MI250_DUAL_GCD_POWER_FACTOR;
@@ -279,7 +279,6 @@ impl engine::Workload for ResnetWorkload<'_> {
         let total_s = iters * it.t_iter;
 
         let phase_plan = PhasePlan {
-            allocations: vec![],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Compute,
@@ -325,7 +324,7 @@ impl engine::Workload for ResnetWorkload<'_> {
         ))
     }
 
-    fn finish(&self, plan: ResnetPlanState, exec: Executed, _ctx: &RunContext) -> ResnetRun {
+    fn finish(&self, plan: ResnetPlanState, exec: Executed, _cfg: &NodeConfig) -> ResnetRun {
         let bench = self.bench;
         let m = exec.measurement;
         // Fig. 3 reports "consumed energy for the whole epoch" of the
@@ -376,13 +375,13 @@ impl engine::Workload for IpuResnetWorkload {
         SystemId::Gc200
     }
 
-    fn plan(&self, ctx: &RunContext) -> Result<(IpuResnetPlanState, PhasePlan), AccelError> {
+    fn plan(&self, cfg: &NodeConfig) -> Result<(IpuResnetPlanState, PhasePlan), AccelError> {
         let global_batch = self.global_batch;
         if global_batch == 0 {
             return Err(AccelError::InvalidConfig("batch must be positive".into()));
         }
         let model = IpuResnetModel::default();
-        let spec = ctx.device(0).spec();
+        let spec = &cfg.device;
 
         let compile_u = invert_power(GRAPH_COMPILE_W, spec);
         let t0 = GRAPH_COMPILE_S;
@@ -395,7 +394,6 @@ impl engine::Workload for IpuResnetWorkload {
         let t1 = t0 + t_compute + t_sync;
 
         let phase_plan = PhasePlan {
-            allocations: vec![],
             phases: vec![
                 PhaseSpec {
                     kind: PhaseKind::Setup,
@@ -442,7 +440,7 @@ impl engine::Workload for IpuResnetWorkload {
         ))
     }
 
-    fn finish(&self, plan: IpuResnetPlanState, exec: Executed, _ctx: &RunContext) -> ResnetRun {
+    fn finish(&self, plan: IpuResnetPlanState, exec: Executed, _cfg: &NodeConfig) -> ResnetRun {
         let m = exec.measurement;
         let energy_wh_per_epoch = m.df.energy_wh(0);
         ResnetRun {

@@ -59,6 +59,10 @@ fn parse_args(mut argv: std::env::Args) -> Args {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
+                if args.interval_ms == 0 {
+                    eprintln!("jpwr: --interval must be at least 1 ms");
+                    std::process::exit(2);
+                }
             }
             "--df-out" => args.df_out = Some(argv.next().unwrap_or_else(|| usage())),
             "--df-filetype" => {

@@ -10,9 +10,10 @@
 //!   backends polling the simulator's power registers, plus a real
 //!   `/proc/stat`-based CPU estimator;
 //! * a **measurement scope** ([`measure`]) — the `get_power` context
-//!   manager: a sampling loop in a separate thread (wall-clock mode) or a
-//!   deterministic sweep over the virtual timeline (simulation mode),
-//!   trapezoidal energy integration at the end;
+//!   manager: a sampling loop in a separate thread (wall-clock mode), or
+//!   the same loop run deterministically over power step functions on the
+//!   virtual timeline (simulation mode: the benchmark engine folds each
+//!   plan's phases into them), trapezoidal energy integration at the end;
 //! * **DataFrame export** ([`df`]) — power traces and energy summaries to
 //!   CSV or JSON, with the `--df-suffix "%q{VAR}"` environment expansion
 //!   used to disambiguate per-rank files in multi-node runs;
@@ -26,7 +27,7 @@ pub mod method;
 pub mod postprocess;
 
 pub use df::DataFrame;
-pub use measure::{get_power, Measurement, PowerMeasurement, PowerScope};
+pub use measure::{get_power, sample_virtual, Measurement, PowerScope};
 pub use method::{
     GcIpuInfoMethod, GhMethod, MockMethod, PowerMethod, ProcStatMethod, PynvmlMethod, RocmMethod,
 };

@@ -8,15 +8,16 @@
 //!
 //! Two timing modes exist here:
 //! * [`get_power`] — the faithful wall-clock mode: a sampling thread polls
-//!   every `interval_ms` until the scope is finished;
-//! * [`sample_virtual`] — the simulation mode: the same sampling loop
-//!   replayed deterministically over the virtual timeline of recorded
-//!   power traces (used by the benchmark suite, where a "one hour"
-//!   training run takes milliseconds of wall time).
+//!   every `interval_ms` until the scope is finished, then takes a closing
+//!   sample at the stop time;
+//! * [`sample_virtual`] — the simulation mode: the same sampling loop run
+//!   deterministically over power step functions on the virtual timeline
+//!   (the benchmark engine folds each plan's phases into them, so a "one
+//!   hour" training run takes milliseconds of wall time).
 
 use crate::df::DataFrame;
 use crate::method::PowerMethod;
-use caraml_accel::PowerRegister;
+use caraml_accel::PowerTrace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -87,8 +88,10 @@ pub struct PowerScope {
 }
 
 /// Start a wall-clock measurement loop over `methods`, sampling every
-/// `interval_ms` milliseconds in a separate thread.
+/// `interval_ms` milliseconds in a separate thread. Finishing the scope
+/// wakes the thread at once for its closing sample.
 pub fn get_power(methods: Vec<Box<dyn PowerMethod>>, interval_ms: u64) -> PowerScope {
+    assert!(interval_ms > 0, "sampling interval must be positive");
     let mut columns = Vec::new();
     let mut method_per_column = Vec::new();
     for m in &methods {
@@ -99,6 +102,7 @@ pub fn get_power(methods: Vec<Box<dyn PowerMethod>>, interval_ms: u64) -> PowerS
     }
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
+    let interval = Duration::from_millis(interval_ms);
     let handle = std::thread::spawn(move || {
         let mut df = DataFrame::new(columns);
         let start = Instant::now();
@@ -109,7 +113,15 @@ pub fn get_power(methods: Vec<Box<dyn PowerMethod>>, interval_ms: u64) -> PowerS
             if stop2.load(Ordering::Relaxed) {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(interval_ms));
+            // Sleep one interval, or until `finish` unparks the thread.
+            let slept = Instant::now();
+            while !stop2.load(Ordering::Relaxed) {
+                let elapsed = slept.elapsed();
+                if elapsed >= interval {
+                    break;
+                }
+                std::thread::park_timeout(interval - elapsed);
+            }
         }
         df
     });
@@ -123,10 +135,8 @@ pub fn get_power(methods: Vec<Box<dyn PowerMethod>>, interval_ms: u64) -> PowerS
 impl PowerScope {
     /// Stop sampling and collect the measurement (leaving the scope).
     pub fn finish(mut self) -> Measurement {
-        self.stop.store(true, Ordering::Relaxed);
         let df = self
-            .handle
-            .take()
+            .stop_thread()
             .expect("scope finished twice")
             .join()
             .expect("sampling thread panicked");
@@ -135,23 +145,35 @@ impl PowerScope {
             method_per_column: std::mem::take(&mut self.method_per_column),
         }
     }
+
+    /// Flag the sampler to stop and wake it from its sleep.
+    fn stop_thread(&mut self) -> Option<std::thread::JoinHandle<DataFrame>> {
+        self.stop.store(true, Ordering::Relaxed);
+        let handle = self.handle.take()?;
+        handle.thread().unpark();
+        Some(handle)
+    }
 }
 
 impl Drop for PowerScope {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
+        if let Some(h) = self.stop_thread() {
             let _ = h.join();
         }
     }
 }
 
-/// Deterministically replay the sampling loop over the virtual timeline
-/// `[t0, t1]` of recorded power registers: one column per `(label,
-/// register)` pair, sampled every `interval_s` seconds, exactly as the
+/// Run the sampling loop deterministically over the virtual timeline
+/// `[t0, t1]` of power step functions: one column per `(label, method,
+/// trace)` source, sampled every `interval_s` seconds, exactly as the
 /// wall-clock loop would have seen them.
+///
+/// Sample times only move forward, so each column keeps a cursor into its
+/// trace instead of searching it: a sample reads the last change at or
+/// before its time, and 0 W before the first change
+/// ([`PowerTrace::power_at`]).
 pub fn sample_virtual(
-    sources: &[(String, String, PowerRegister)], // (label, method, register)
+    sources: &[(String, String, &PowerTrace)],
     interval_s: f64,
     t0: f64,
     t1: f64,
@@ -160,11 +182,19 @@ pub fn sample_virtual(
     assert!(t1 >= t0, "window must be ordered");
     let columns: Vec<String> = sources.iter().map(|(l, _, _)| l.clone()).collect();
     let method_per_column: Vec<String> = sources.iter().map(|(_, m, _)| m.clone()).collect();
-    let traces: Vec<_> = sources.iter().map(|(_, _, r)| r.trace()).collect();
     let mut df = DataFrame::new(columns);
+    // Per column: how many changes lie at or before the current sample.
+    let mut seen = vec![0usize; sources.len()];
+    let mut row = vec![0.0; sources.len()];
     let mut t = t0;
     loop {
-        let row: Vec<f64> = traces.iter().map(|tr| tr.power_at(t)).collect();
+        for (((_, _, trace), seen), w) in sources.iter().zip(&mut seen).zip(&mut row) {
+            let changes = trace.samples();
+            while changes.get(*seen).is_some_and(|c| c.time_s <= t) {
+                *seen += 1;
+            }
+            *w = seen.checked_sub(1).map_or(0.0, |i| changes[i].power_w);
+        }
         df.push_row(t, &row);
         if t >= t1 {
             break;
@@ -177,66 +207,28 @@ pub fn sample_virtual(
     }
 }
 
-/// A meter handle over a fixed set of power sources.
-///
-/// The benchmark engine builds one meter per run, after the run's phases,
-/// and samples it once over the measurement window. The registers are
-/// shared with the simulated devices, so a sample sees every phase
-/// recorded before it, including phases recorded after the meter was
-/// created.
-#[derive(Debug, Clone)]
-pub struct PowerMeasurement {
-    sources: Vec<(String, String, PowerRegister)>,
-}
-
-impl PowerMeasurement {
-    /// Build a meter over the leading simulated devices, with one column
-    /// per device labelled `{prefix}{index}` and attributed to `method`.
-    pub fn new(devices: &[caraml_accel::SimDevice], prefix: &str, method: &str) -> Self {
-        PowerMeasurement {
-            sources: virtual_sources(devices, prefix, method),
-        }
-    }
-
-    /// Build a meter from explicit `(label, method, register)` sources.
-    pub fn from_sources(sources: Vec<(String, String, PowerRegister)>) -> Self {
-        PowerMeasurement { sources }
-    }
-
-    /// Number of metered columns.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Replay the sampling loop over `[t0, t1]` at `interval_s`.
-    pub fn sample(&self, interval_s: f64, t0: f64, t1: f64) -> Measurement {
-        sample_virtual(&self.sources, interval_s, t0, t1)
-    }
-}
-
-/// Convenience: build virtual sources from simulated devices.
-pub fn virtual_sources(
-    devices: &[caraml_accel::SimDevice],
-    prefix: &str,
-    method: &str,
-) -> Vec<(String, String, PowerRegister)> {
-    devices
-        .iter()
-        .map(|d| {
-            (
-                format!("{prefix}{}", d.index()),
-                method.to_string(),
-                d.power_register().clone(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::method::MockMethod;
     use caraml_accel::{NodeConfig, SimNode, SystemId};
+
+    /// Snapshots of the leading `n` device registers of a driven node.
+    fn traces(node: &SimNode, n: usize) -> Vec<PowerTrace> {
+        node.devices()[..n]
+            .iter()
+            .map(|d| d.power_register().trace())
+            .collect()
+    }
+
+    /// One `gpu{i}`/pynvml source per trace.
+    fn sources(traces: &[PowerTrace]) -> Vec<(String, String, &PowerTrace)> {
+        traces
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (format!("gpu{i}"), "pynvml".to_string(), t))
+            .collect()
+    }
 
     #[test]
     fn wall_clock_scope_samples_and_integrates() {
@@ -277,8 +269,8 @@ mod tests {
         let node = SimNode::new(NodeConfig::for_system(SystemId::A100));
         node.run_phase(1, 10.0, 1.0, 330.0).unwrap(); // 10 s at 330 W
         node.idle_phase(10.0).unwrap(); // 10 s idle
-        let sources = virtual_sources(&node.devices()[..1], "gpu", "pynvml");
-        let m = sample_virtual(&sources, 0.01, 0.0, 20.0);
+        let traces = traces(&node, 1);
+        let m = sample_virtual(&sources(&traces), 0.01, 0.0, 20.0);
         let idle = node.device(0).power_model().idle_w;
         let expect_mean = (330.0 + idle) / 2.0;
         assert!(
@@ -302,14 +294,59 @@ mod tests {
         drop(scope); // must not hang or panic
     }
 
+    /// Reports 1 W and signals every read.
+    struct Signalling(std::sync::mpsc::Sender<()>);
+
+    impl PowerMethod for Signalling {
+        fn name(&self) -> &str {
+            "signal"
+        }
+
+        fn device_labels(&self) -> Vec<String> {
+            vec!["s0".into()]
+        }
+
+        fn read_power_w(&self) -> Vec<f64> {
+            let _ = self.0.send(());
+            vec![1.0]
+        }
+    }
+
+    #[test]
+    fn finish_wakes_the_sampler_for_a_closing_sample() {
+        // A 10 s interval finished ~50 ms after the first sample: the
+        // closing sample is taken at the stop time, not after the
+        // interval runs out.
+        let (tx, first_read) = std::sync::mpsc::channel();
+        let scope = get_power(vec![Box::new(Signalling(tx))], 10_000);
+        first_read.recv().expect("sampler takes a first sample");
+        std::thread::sleep(Duration::from_millis(50));
+        let stopped = Instant::now();
+        let m = scope.finish();
+        assert!(
+            stopped.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            stopped.elapsed()
+        );
+        assert_eq!(m.df.num_rows(), 2);
+        let last = *m.df.time_s.last().unwrap();
+        assert!(last < 1.0, "last sample at {last} s");
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling interval")]
+    fn wall_clock_rejects_zero_interval() {
+        get_power(vec![Box::new(MockMethod { watts: 1.0 })], 0);
+    }
+
     #[test]
     fn virtual_sampling_of_simulated_run() {
         let node = SimNode::new(NodeConfig::for_system(SystemId::A100));
         // 1 h at full power, then 1 h idle.
         node.run_phase(4, 3600.0, 1.0, 330.0).unwrap();
         node.idle_phase(3600.0).unwrap();
-        let sources = virtual_sources(node.devices(), "gpu", "pynvml");
-        let m = sample_virtual(&sources, 1.0, 0.0, 7200.0);
+        let traces = traces(&node, 4);
+        let m = sample_virtual(&sources(&traces), 1.0, 0.0, 7200.0);
         assert_eq!(m.df.num_cols(), 4);
         assert_eq!(m.df.num_rows(), 7201);
         let idle = node.device(0).power_model().idle_w;
@@ -326,9 +363,9 @@ mod tests {
         let node = SimNode::new(NodeConfig::for_system(SystemId::A100));
         node.run_phase(1, 100.0, 1.0, 330.0).unwrap();
         node.idle_phase(0.0).unwrap();
-        let sources = virtual_sources(&node.devices()[..1], "gpu", "pynvml");
-        let coarse = sample_virtual(&sources, 10.0, 0.0, 100.0);
-        let fine = sample_virtual(&sources, 0.1, 0.0, 100.0);
+        let traces = traces(&node, 1);
+        let coarse = sample_virtual(&sources(&traces), 10.0, 0.0, 100.0);
+        let fine = sample_virtual(&sources(&traces), 0.1, 0.0, 100.0);
         assert!(fine.df.num_rows() > 10 * coarse.df.num_rows() / 2);
         // The coarse trace mis-attributes at most one interval around the
         // busy->idle step: allow a few percent.
@@ -341,12 +378,12 @@ mod tests {
         let node = SimNode::new(NodeConfig::for_system(SystemId::A100));
         node.run_phase(1, 10.0, 1.0, 330.0).unwrap();
         node.idle_phase(10.0).unwrap();
-        let sources = virtual_sources(&node.devices()[..1], "gpu", "pynvml");
+        let traces = traces(&node, 1);
         // Only the busy window. The final sample at t=10 already reads the
         // idle power (the step function switched exactly there), costing
         // half an interval of trapezoid error — the same boundary error a
         // real polling tool makes.
-        let m = sample_virtual(&sources, 0.5, 0.0, 10.0);
+        let m = sample_virtual(&sources(&traces), 0.5, 0.0, 10.0);
         let expect = 330.0 * 10.0 / 3600.0;
         let rel = (m.df.energy_wh(0) - expect).abs() / expect;
         assert!(rel < 0.03, "rel {rel}");
@@ -363,8 +400,79 @@ mod tests {
     }
 
     #[test]
+    fn sampled_integration_matches_exact_for_constant_power() {
+        let mut t = PowerTrace::new();
+        t.push(0.0, 250.0);
+        let m = sample_virtual(&sources(std::slice::from_ref(&t)), 0.1, 0.0, 100.0);
+        assert!((m.df.energy_wh(0) - t.energy_wh(0.0, 100.0)).abs() < 1e-9);
+        assert!(m.df.num_rows() > 1000);
+    }
+
+    #[test]
+    fn sampled_integration_close_for_step_function() {
+        let mut t = PowerTrace::new();
+        t.push(0.0, 100.0);
+        t.push(50.0, 300.0);
+        let exact = t.energy_wh(0.0, 100.0);
+        let m = sample_virtual(&sources(std::slice::from_ref(&t)), 0.05, 0.0, 100.0);
+        // Sampling at 50 ms misses at most one interval of the step.
+        assert!((m.df.energy_wh(0) - exact).abs() / exact < 1e-3);
+    }
+
+    #[test]
     #[should_panic(expected = "sampling interval")]
     fn virtual_rejects_zero_interval() {
         sample_virtual(&[], 0.0, 0.0, 1.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Trapezoid sampling converges to the exact step-function energy
+        /// as the interval shrinks.
+        #[test]
+        fn sampling_converges(p1 in 50.0..300.0f64, p2 in 50.0..300.0f64) {
+            let mut trace = PowerTrace::new();
+            trace.push(0.0, p1);
+            trace.push(7.0, p2);
+            let exact = trace.energy_wh(0.0, 20.0);
+            let sources = [("d".to_string(), "mock".to_string(), &trace)];
+            let coarse = sample_virtual(&sources, 1.0, 0.0, 20.0).df.energy_wh(0);
+            let fine = sample_virtual(&sources, 0.01, 0.0, 20.0).df.energy_wh(0);
+            prop_assert!((fine - exact).abs() <= (coarse - exact).abs() + 1e-9);
+        }
+
+        /// The forward cursor reads what a search of the trace reads
+        /// ([`PowerTrace::power_at`]: the last change at or before the
+        /// sample, 0 W before the first) at every sample of any window,
+        /// including windows that start before the first change or end
+        /// before the last, changes that share an instant, and samples
+        /// that land exactly on a change (half-second steps add exactly).
+        #[test]
+        fn cursor_matches_step_lookup(
+            changes in prop::collection::vec(
+                (prop_oneof![Just(0.0), Just(0.5), Just(1.5), 0.0..5.0f64], 0.0..700.0f64),
+                0..12,
+            ),
+            t0 in prop_oneof![Just(0.0), Just(1.0), -2.0..10.0f64],
+            span in 0.0..12.0f64,
+            interval in prop_oneof![Just(0.5), 0.05..3.0f64],
+        ) {
+            let mut trace = PowerTrace::new();
+            let mut t = 0.0;
+            for (dt, w) in changes {
+                t += dt;
+                trace.push(t, w);
+            }
+            let sources = [("d".to_string(), "mock".to_string(), &trace)];
+            let m = sample_virtual(&sources, interval, t0, t0 + span);
+            for (i, &time) in m.df.time_s.iter().enumerate() {
+                prop_assert_eq!(m.df.values[0][i].to_bits(), trace.power_at(time).to_bits());
+            }
+        }
     }
 }

@@ -134,6 +134,44 @@ fn unknown_method_fails_cleanly() {
 }
 
 #[test]
+fn zero_interval_is_rejected() {
+    // A zero interval would poll without sleeping for as long as the
+    // command runs.
+    let out = jpwr()
+        .args(["--methods", "mock", "--interval", "0", "--", "true"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--interval"));
+}
+
+#[test]
+fn long_interval_ends_with_the_command() {
+    // The closing sample is taken when the command exits, not one
+    // interval later.
+    let started = std::time::Instant::now();
+    let out = jpwr()
+        .args(["--methods", "mock", "--interval", "5000", "--", "true"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "took {elapsed:?}"
+    );
+    // 100 W for well under a second is below 0.03 Wh.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let wh: f64 = stderr
+        .split("mock/mock0: ")
+        .nth(1)
+        .and_then(|rest| rest.split(" Wh").next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no energy line in {stderr}"));
+    assert!(wh < 0.03, "{wh} Wh");
+}
+
+#[test]
 fn missing_command_prints_usage() {
     let out = jpwr().args(["--methods", "mock"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -1,8 +1,9 @@
 //! Demonstrate the jpwr measurement tool in both modes:
 //! 1. wall-clock: sample the real /proc/stat CPU method around an actual
 //!    computation, like `jpwr -- <command>` does;
-//! 2. virtual: replay the sampling loop over a simulated GH200 run with
-//!    both backends the paper uses on Grace-Hopper (pynvml + gh/hwmon).
+//! 2. virtual: run the sampling loop over the power trace of a simulated
+//!    GH200 run with both backends the paper uses on Grace-Hopper
+//!    (pynvml + gh/hwmon).
 
 use caraml_suite::caraml_accel::{NodeConfig, SimNode, SystemId};
 use caraml_suite::jpwr::measure::{get_power, sample_virtual};
@@ -35,10 +36,10 @@ fn main() {
     node.idle_phase(0.0).unwrap();
     // Two methods at once, "useful for GH200" (§III-A4): the GPU sensor
     // and the full-module hwmon view (+ Grace CPU rail).
-    let gpu = node.device(0).power_register().clone();
-    let sources = vec![
-        ("gpu0".to_string(), "pynvml".to_string(), gpu.clone()),
-        ("module0".to_string(), "gh".to_string(), gpu),
+    let gpu = node.device(0).power_register().trace();
+    let sources = [
+        ("gpu0".to_string(), "pynvml".to_string(), &gpu),
+        ("module0".to_string(), "gh".to_string(), &gpu),
     ];
     let m = sample_virtual(&sources, 1.0, 0.0, 3600.0);
     for (device, method, wh) in m.energy() {
